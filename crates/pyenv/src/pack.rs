@@ -13,6 +13,7 @@ use crate::error::{PyEnvError, Result};
 use crate::index::DistRelease;
 use crate::version::Version;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+pub use lfm_telemetry::codec::fnv1a;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -290,7 +291,7 @@ impl PackedEnv {
     fn decode_manifest(mut buf: &[u8], checksum: u64) -> Result<Self> {
         let name = get_str(&mut buf)?;
         let source_prefix = get_str(&mut buf)?;
-        let n = get_u32(&mut buf)? as usize;
+        let n = get_count(&mut buf)?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let dist = get_str(&mut buf)?;
@@ -300,7 +301,7 @@ impl PackedEnv {
             let size_bytes = get_u64(&mut buf)?;
             let file_count = get_u32(&mut buf)?;
             let native = get_u8(&mut buf)? != 0;
-            let m = get_u32(&mut buf)? as usize;
+            let m = get_count(&mut buf)?;
             let mut modules = Vec::with_capacity(m);
             for _ in 0..m {
                 modules.push(get_str(&mut buf)?);
@@ -368,6 +369,17 @@ fn get_u64(buf: &mut &[u8]) -> Result<u64> {
     Ok(buf.get_u64_le())
 }
 
+/// An element count, bounded by the bytes left: every entry and module
+/// takes at least one byte, so a larger count is corrupt (and must not
+/// size an allocation).
+fn get_count(buf: &mut &[u8]) -> Result<usize> {
+    let n = get_u32(buf)? as usize;
+    if n > buf.remaining() {
+        return Err(PyEnvError::CorruptArchive("count exceeds data".into()));
+    }
+    Ok(n)
+}
+
 fn get_str(buf: &mut &[u8]) -> Result<String> {
     let len = get_u32(buf)? as usize;
     if buf.remaining() < len {
@@ -377,16 +389,6 @@ fn get_str(buf: &mut &[u8]) -> Result<String> {
         .map_err(|_| PyEnvError::CorruptArchive("invalid utf-8 in manifest".into()))?;
     buf.advance(len);
     Ok(s)
-}
-
-/// FNV-1a 64-bit hash.
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -510,6 +512,24 @@ mod tests {
                 "cut at {cut}"
             );
         }
+    }
+
+    /// A well-formed header and checksum around a manifest that claims
+    /// `u32::MAX` entries: must be rejected, not pre-allocated.
+    #[test]
+    fn absurd_entry_count_rejected() {
+        let mut manifest = Vec::new();
+        manifest.extend(0u32.to_le_bytes()); // name ""
+        manifest.extend(0u32.to_le_bytes()); // source prefix ""
+        manifest.extend(u32::MAX.to_le_bytes()); // entry count
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend(fnv1a(&manifest).to_le_bytes());
+        bytes.extend((manifest.len() as u64).to_le_bytes());
+        bytes.extend(&manifest);
+        assert!(matches!(
+            PackedEnv::from_bytes(&bytes),
+            Err(PyEnvError::CorruptArchive(_))
+        ));
     }
 
     #[test]

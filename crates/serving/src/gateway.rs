@@ -68,6 +68,7 @@ use lfm_simcluster::metrics::SparseHistogram;
 use lfm_simcluster::node::NodeSpec;
 use lfm_simcluster::rng::SimRng;
 use lfm_simcluster::time::SimTime;
+use lfm_telemetry::codec::{self, put_f64, put_seq, put_u64, Reader};
 use lfm_telemetry::slo::{SloConfig, SloMonitor};
 use lfm_telemetry::{Name, Recorder, TailCursor};
 use lfm_workqueue::allocate::{AutoConfig, Strategy};
@@ -336,90 +337,52 @@ struct GatewayImage {
     pool: WarmPoolImage,
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-struct ImageReader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl ImageReader<'_> {
-    fn u64(&mut self) -> Option<u64> {
-        let end = self.at.checked_add(8)?;
-        let v = u64::from_le_bytes(self.bytes.get(self.at..end)?.try_into().ok()?);
-        self.at = end;
-        Some(v)
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
-    fn len(&mut self) -> Option<usize> {
-        usize::try_from(self.u64()?).ok().filter(|&n| n <= 1 << 32)
-    }
-}
-
 impl GatewayImage {
     fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         put_u64(&mut buf, self.next_invocation);
         put_u64(&mut buf, self.lost);
-        put_u64(&mut buf, self.queues.len() as u64);
-        for q in &self.queues {
-            put_u64(&mut buf, q.len() as u64);
-            for &(inv, function, arrival) in q {
-                put_u64(&mut buf, inv);
-                put_u64(&mut buf, function as u64);
-                put_f64(&mut buf, arrival);
+        put_seq(&mut buf, &self.queues, |b, q| {
+            put_seq(b, q, |b, &(inv, function, arrival)| {
+                put_u64(b, inv);
+                put_u64(b, function as u64);
+                put_f64(b, arrival);
+            })
+        });
+        put_seq(
+            &mut buf,
+            &self.in_flight,
+            |b, &(inv, tenant, arrival, dispatch, warm)| {
+                put_u64(b, inv);
+                put_u64(b, tenant as u64);
+                put_f64(b, arrival);
+                put_f64(b, dispatch);
+                put_u64(b, warm as u64);
+            },
+        );
+        put_seq(&mut buf, &self.passes, |b, &p| put_u64(b, p));
+        put_seq(&mut buf, &self.buckets, |b, bucket| match bucket {
+            Some((tokens, at, rate)) => {
+                put_u64(b, 1);
+                put_f64(b, *tokens);
+                put_f64(b, *at);
+                put_f64(b, *rate);
             }
-        }
-        put_u64(&mut buf, self.in_flight.len() as u64);
-        for &(inv, tenant, arrival, dispatch, warm) in &self.in_flight {
-            put_u64(&mut buf, inv);
-            put_u64(&mut buf, tenant as u64);
-            put_f64(&mut buf, arrival);
-            put_f64(&mut buf, dispatch);
-            put_u64(&mut buf, warm as u64);
-        }
-        put_u64(&mut buf, self.passes.len() as u64);
-        for &p in &self.passes {
-            put_u64(&mut buf, p);
-        }
-        put_u64(&mut buf, self.buckets.len() as u64);
-        for b in &self.buckets {
-            match b {
-                Some((tokens, at, rate)) => {
-                    put_u64(&mut buf, 1);
-                    put_f64(&mut buf, *tokens);
-                    put_f64(&mut buf, *at);
-                    put_f64(&mut buf, *rate);
-                }
-                None => put_u64(&mut buf, 0),
-            }
-        }
-        put_u64(&mut buf, self.depth_limit.len() as u64);
-        for &d in &self.depth_limit {
-            put_u64(&mut buf, d);
-        }
-        put_u64(&mut buf, self.counters.len() as u64);
-        for c in &self.counters {
-            for &v in c {
-                put_u64(&mut buf, v);
-            }
-        }
-        put_u64(&mut buf, self.pool.entries.len() as u64);
-        for &(id, function, last_used) in &self.pool.entries {
-            put_u64(&mut buf, id);
-            put_u64(&mut buf, function as u64);
-            put_f64(&mut buf, last_used);
-        }
+            None => put_u64(b, 0),
+        });
+        put_seq(&mut buf, &self.depth_limit, |b, &d| put_u64(b, d));
+        put_seq(&mut buf, &self.counters, |b, c| {
+            c.iter().for_each(|&v| put_u64(b, v))
+        });
+        put_seq(
+            &mut buf,
+            &self.pool.entries,
+            |b, &(id, function, last_used)| {
+                put_u64(b, id);
+                put_u64(b, function as u64);
+                put_f64(b, last_used);
+            },
+        );
         put_u64(&mut buf, self.pool.next_id);
         put_u64(&mut buf, self.pool.capacity as u64);
         put_u64(&mut buf, self.pool.hits);
@@ -428,69 +391,41 @@ impl GatewayImage {
         buf
     }
 
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = ImageReader { bytes, at: 0 };
-        let next_invocation = r.u64()?;
-        let lost = r.u64()?;
-        let tenant_count = r.len()?;
-        let mut queues = Vec::new();
-        for _ in 0..tenant_count {
-            let mut q = Vec::new();
-            for _ in 0..r.len()? {
-                q.push((r.u64()?, r.u64()? as usize, r.f64()?));
-            }
-            queues.push(q);
-        }
-        let mut in_flight = Vec::new();
-        for _ in 0..r.len()? {
-            in_flight.push((r.u64()?, r.u64()? as u32, r.f64()?, r.f64()?, r.u64()? != 0));
-        }
-        let mut passes = Vec::new();
-        for _ in 0..r.len()? {
-            passes.push(r.u64()?);
-        }
-        let mut buckets = Vec::new();
-        for _ in 0..r.len()? {
-            buckets.push(match r.u64()? {
-                0 => None,
-                _ => Some((r.f64()?, r.f64()?, r.f64()?)),
-            });
-        }
-        let mut depth_limit = Vec::new();
-        for _ in 0..r.len()? {
-            depth_limit.push(r.u64()?);
-        }
-        let mut counters = Vec::new();
-        for _ in 0..r.len()? {
-            let mut c = [0u64; 8];
-            for v in &mut c {
-                *v = r.u64()?;
-            }
-            counters.push(c);
-        }
-        let mut entries = Vec::new();
-        for _ in 0..r.len()? {
-            entries.push((r.u64()?, r.u64()? as usize, r.f64()?));
-        }
-        let pool = WarmPoolImage {
-            entries,
-            next_id: r.u64()?,
-            capacity: r.u64()? as usize,
-            hits: r.u64()?,
-            misses: r.u64()?,
-            expirations: r.u64()?,
+    fn decode(bytes: &[u8]) -> Result<Self, codec::Error> {
+        type Res<T> = Result<T, codec::Error>;
+        let r = &mut Reader::new(bytes);
+        let image = GatewayImage {
+            next_invocation: r.u64()?,
+            lost: r.u64()?,
+            queues: r.seq(|r| r.seq(|r| Res::Ok((r.u64()?, r.u64()? as usize, r.f64()?))))?,
+            in_flight: r
+                .seq(|r| Res::Ok((r.u64()?, r.u64()? as u32, r.f64()?, r.f64()?, r.u64()? != 0)))?,
+            passes: r.seq(|r| r.u64())?,
+            buckets: r.seq(|r| {
+                Res::Ok(match r.u64()? {
+                    0 => None,
+                    _ => Some((r.f64()?, r.f64()?, r.f64()?)),
+                })
+            })?,
+            depth_limit: r.seq(|r| r.u64())?,
+            counters: r.seq(|r| {
+                let mut c = [0u64; 8];
+                for v in &mut c {
+                    *v = r.u64()?;
+                }
+                Res::Ok(c)
+            })?,
+            pool: WarmPoolImage {
+                entries: r.seq(|r| Res::Ok((r.u64()?, r.u64()? as usize, r.f64()?)))?,
+                next_id: r.u64()?,
+                capacity: r.u64()? as usize,
+                hits: r.u64()?,
+                misses: r.u64()?,
+                expirations: r.u64()?,
+            },
         };
-        (r.at == bytes.len()).then_some(GatewayImage {
-            next_invocation,
-            lost,
-            queues,
-            in_flight,
-            passes,
-            buckets,
-            depth_limit,
-            counters,
-            pool,
-        })
+        r.finish()?;
+        Ok(image)
     }
 }
 
@@ -1725,6 +1660,34 @@ mod tests {
         assert_eq!(with_trace.control_actions, without.control_actions);
         assert_eq!(with_trace, without, "the full report must match");
         assert_eq!(with_trace.summary_json(), without.summary_json());
+    }
+
+    /// Length and FNV-1a digest of the gateway image taken right after the
+    /// first journaled recovery of a seeded crashy run, plus the gateway's
+    /// journal bytes at that point: pins the image encoding byte for byte.
+    #[test]
+    fn gateway_image_bytes_are_pinned() {
+        let cfg = base_config()
+            .with_horizon(20.0)
+            .with_durability(DurabilityConfig::journal_with_snapshots(256))
+            .with_faults(crashy(600.0, 3));
+        let tenants = vec![one_tenant(40.0)
+            .pop()
+            .unwrap()
+            .with_quota(RateQuota::new(30.0, 40.0))];
+        let mut gw = ServingGateway::new(cfg, vec![fast_fn()], tenants);
+        let mut t = 0.0;
+        while gw.gateway_recoveries == 0 {
+            t += 0.25;
+            assert!(t <= 20.0, "no crash fired");
+            gw.tick(t, true);
+        }
+        let bytes = gw.snapshot_image().encode();
+        assert_eq!(
+            (bytes.len(), lfm_telemetry::codec::fnv1a(&bytes)),
+            (2392, 0x90d237fc6f9be621)
+        );
+        assert_eq!(gw.gateway_journal_bytes, 3832);
     }
 }
 

@@ -43,8 +43,10 @@
 //! that every `track_uuid` was declared by a descriptor packet first, and
 //! that slice begin/end depth stays balanced per track.
 
+use crate::codec::{self, put_f64, put_varint, put_varint_bytes, Reader};
 use crate::export::TraceSink;
 use crate::record::{AttrValue, MetricKind, Record};
+use crate::wire::as_exact_u64;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
@@ -89,35 +91,22 @@ const PROCESS_UUID: u64 = 1;
 const SEQUENCE_ID: u64 = 1;
 
 // -------------------------------------------------------------------
-// protobuf writer primitives
+// protobuf fields over the shared codec
 // -------------------------------------------------------------------
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
-fn put_tag(buf: &mut Vec<u8>, field: u64, wire_type: u64) {
-    put_varint(buf, field << 3 | wire_type);
-}
-
 fn put_varint_field(buf: &mut Vec<u8>, field: u64, v: u64) {
-    put_tag(buf, field, 0);
+    put_varint(buf, field << 3);
     put_varint(buf, v);
 }
 
 fn put_double_field(buf: &mut Vec<u8>, field: u64, v: f64) {
-    put_tag(buf, field, 1);
-    buf.extend_from_slice(&v.to_le_bytes());
+    put_varint(buf, field << 3 | 1);
+    put_f64(buf, v);
 }
 
 fn put_len_field(buf: &mut Vec<u8>, field: u64, bytes: &[u8]) {
-    put_tag(buf, field, 2);
-    put_varint(buf, bytes.len() as u64);
-    buf.extend_from_slice(bytes);
+    put_varint(buf, field << 3 | 2);
+    put_varint_bytes(buf, bytes);
 }
 
 fn put_str_field(buf: &mut Vec<u8>, field: u64, s: &str) {
@@ -153,119 +142,143 @@ struct Packet {
     bytes: Vec<u8>,
 }
 
-fn packet(ts: Option<u64>, event: &[u8]) -> Vec<u8> {
+/// A TrackEvent wrapped in its TracePacket.
+fn event_packet(ts: u64, event: &[u8]) -> Vec<u8> {
     let mut p = Vec::with_capacity(event.len() + 12);
-    if let Some(ts) = ts {
-        put_varint_field(&mut p, PKT_TIMESTAMP, ts);
-    }
+    put_varint_field(&mut p, PKT_TIMESTAMP, ts);
     put_varint_field(&mut p, PKT_SEQUENCE_ID, SEQUENCE_ID);
     put_len_field(&mut p, PKT_TRACK_EVENT, event);
     p
 }
 
-fn descriptor_packet(desc: &[u8]) -> Vec<u8> {
+/// What a track descriptor declares: the one process track, a lane
+/// (sim track id) under it, or a counter track under it.
+#[derive(Clone, Copy, PartialEq)]
+enum TrackKind {
+    Process,
+    Lane,
+    Counter,
+}
+
+/// A TrackDescriptor wrapped in its TracePacket.
+fn descriptor_packet(uuid: u64, name: &str, kind: TrackKind) -> Vec<u8> {
+    let mut desc = Vec::new();
+    put_varint_field(&mut desc, TDESC_UUID, uuid);
+    put_str_field(&mut desc, TDESC_NAME, name);
+    if kind == TrackKind::Process {
+        let mut process = Vec::new();
+        put_varint_field(&mut process, PDESC_PID, 1);
+        put_str_field(&mut process, PDESC_NAME, name);
+        put_len_field(&mut desc, TDESC_PROCESS, &process);
+    } else {
+        put_varint_field(&mut desc, TDESC_PARENT_UUID, PROCESS_UUID);
+    }
+    if kind == TrackKind::Counter {
+        put_len_field(&mut desc, TDESC_COUNTER, &[]); // presence marks the track type
+    }
     let mut p = Vec::with_capacity(desc.len() + 8);
     put_varint_field(&mut p, PKT_SEQUENCE_ID, SEQUENCE_ID);
-    put_len_field(&mut p, PKT_TRACK_DESCRIPTOR, desc);
+    put_len_field(&mut p, PKT_TRACK_DESCRIPTOR, &desc);
     p
 }
 
-/// Render a record stream as a binary Perfetto trace.
-pub fn perfetto_trace(records: &[Record]) -> Vec<u8> {
-    // Pass 1: assign track uuids by first appearance so descriptors can
-    // all be emitted ahead of every event that references them.
-    let mut lane_uuid: BTreeMap<u64, u64> = BTreeMap::new(); // sim track id → uuid
-    let mut counter_uuid: BTreeMap<&str, u64> = BTreeMap::new(); // metric name → uuid
-    let mut next_uuid = PROCESS_UUID + 1;
-    for record in records {
-        match record {
-            Record::Span(s) => {
-                lane_uuid.entry(s.track).or_insert_with(|| {
-                    next_uuid += 1;
-                    next_uuid - 1
-                });
-            }
-            Record::Instant(i) => {
-                lane_uuid.entry(i.track).or_insert_with(|| {
-                    next_uuid += 1;
-                    next_uuid - 1
-                });
-            }
-            Record::Metric(m) if m.at_secs.is_some() => {
-                counter_uuid.entry(m.name.as_str()).or_insert_with(|| {
-                    next_uuid += 1;
-                    next_uuid - 1
-                });
-            }
-            Record::Metric(_) => {} // untimed: aggregates only, no timeline
-        }
+fn process_descriptor() -> Vec<u8> {
+    descriptor_packet(PROCESS_UUID, "lfm-sim", TrackKind::Process)
+}
+
+/// A slice-begin or instant TrackEvent: debug annotations (attrs, then
+/// task and attempt), then type, track, category and name.
+fn labelled_event(
+    ty: u64,
+    uuid: u64,
+    cat: &str,
+    name: &str,
+    attrs: &[(String, AttrValue)],
+    task: Option<u64>,
+    attempt: Option<u32>,
+) -> Vec<u8> {
+    let mut ev = Vec::new();
+    let ids = task
+        .map(|t| ("task", t))
+        .into_iter()
+        .chain(attempt.map(|a| ("attempt", a as u64)));
+    for (k, v) in attrs {
+        put_len_field(&mut ev, TEV_DEBUG_ANNOTATION, &annotation(k, v));
+    }
+    for (k, v) in ids {
+        put_len_field(
+            &mut ev,
+            TEV_DEBUG_ANNOTATION,
+            &annotation(k, &AttrValue::U64(v)),
+        );
+    }
+    put_varint_field(&mut ev, TEV_TYPE, ty);
+    put_varint_field(&mut ev, TEV_TRACK_UUID, uuid);
+    put_str_field(&mut ev, TEV_CATEGORY, cat);
+    put_str_field(&mut ev, TEV_NAME, name);
+    ev
+}
+
+/// The state both exporters keep: one uuid per lane and counter track,
+/// assigned in order of first appearance, plus each counter's running
+/// total. Bounded by distinct tracks, not run length.
+#[derive(Default)]
+struct Tracks {
+    lanes: BTreeMap<u64, u64>,
+    /// Metric name → (uuid, running total of its counter samples).
+    counters: BTreeMap<String, (u64, f64)>,
+}
+
+impl Tracks {
+    fn declared(&self) -> usize {
+        self.lanes.len() + self.counters.len()
     }
 
-    let mut out = Vec::with_capacity(records.len() * 24 + 64);
-
-    // Process track.
-    let mut process = Vec::new();
-    put_varint_field(&mut process, PDESC_PID, 1);
-    put_str_field(&mut process, PDESC_NAME, "lfm-sim");
-    let mut desc = Vec::new();
-    put_varint_field(&mut desc, TDESC_UUID, PROCESS_UUID);
-    put_str_field(&mut desc, TDESC_NAME, "lfm-sim");
-    put_len_field(&mut desc, TDESC_PROCESS, &process);
-    put_len_field(&mut out, 1, &descriptor_packet(&desc));
-
-    // Lane and counter tracks, in uuid (= first appearance) order.
-    let mut tracks: Vec<(u64, String, bool)> = lane_uuid
-        .iter()
-        .map(|(lane, &uuid)| (uuid, format!("track-{lane}"), false))
-        .chain(
-            counter_uuid
-                .iter()
-                .map(|(name, &uuid)| (uuid, (*name).to_string(), true)),
-        )
-        .collect();
-    tracks.sort_by_key(|(uuid, _, _)| *uuid);
-    for (uuid, name, is_counter) in &tracks {
-        let mut desc = Vec::new();
-        put_varint_field(&mut desc, TDESC_UUID, *uuid);
-        put_str_field(&mut desc, TDESC_NAME, name);
-        put_varint_field(&mut desc, TDESC_PARENT_UUID, PROCESS_UUID);
-        if *is_counter {
-            put_len_field(&mut desc, TDESC_COUNTER, &[]); // presence marks the track type
-        }
-        put_len_field(&mut out, 1, &descriptor_packet(&desc));
+    fn next_uuid(&self) -> u64 {
+        PROCESS_UUID + 1 + self.declared() as u64
     }
 
-    // Pass 2: encode events with nesting-stable sort keys.
-    let mut packets: Vec<Packet> = Vec::with_capacity(records.len() * 2);
-    let mut totals: BTreeMap<&str, f64> = BTreeMap::new();
-    for (idx, record) in records.iter().enumerate() {
+    fn lane(&mut self, lane: u64, declare: &mut Vec<Vec<u8>>) -> u64 {
+        let uuid = self.next_uuid();
+        *self.lanes.entry(lane).or_insert_with(|| {
+            declare.push(descriptor_packet(
+                uuid,
+                &format!("track-{lane}"),
+                TrackKind::Lane,
+            ));
+            uuid
+        })
+    }
+
+    fn counter(&mut self, name: &str, declare: &mut Vec<Vec<u8>>) -> &mut (u64, f64) {
+        if !self.counters.contains_key(name) {
+            let uuid = self.next_uuid();
+            declare.push(descriptor_packet(uuid, name, TrackKind::Counter));
+            self.counters.insert(name.to_string(), (uuid, 0.0));
+        }
+        self.counters.get_mut(name).expect("declared above")
+    }
+
+    /// Encode one record's TracePackets, keyed for [`perfetto_trace`]'s
+    /// sort (`idx` is the record's position), first pushing onto
+    /// `declare` the descriptor of any track the record is the first to
+    /// use. A span yields its begin then its end; untimed metric samples
+    /// have no timeline representation and yield nothing.
+    fn encode(&mut self, idx: usize, record: &Record, declare: &mut Vec<Vec<u8>>) -> Vec<Packet> {
         match record {
             Record::Span(s) => {
-                let uuid = lane_uuid[&s.track];
+                let uuid = self.lane(s.track, declare);
                 let (start, end) = (ns(s.start_secs), ns(s.end_secs));
                 let dur = end.saturating_sub(start);
-                let mut begin = Vec::new();
-                for (k, v) in &s.attrs {
-                    put_len_field(&mut begin, TEV_DEBUG_ANNOTATION, &annotation(k, v));
-                }
-                if let Some(t) = s.task {
-                    put_len_field(
-                        &mut begin,
-                        TEV_DEBUG_ANNOTATION,
-                        &annotation("task", &AttrValue::U64(t)),
-                    );
-                }
-                if let Some(a) = s.attempt {
-                    put_len_field(
-                        &mut begin,
-                        TEV_DEBUG_ANNOTATION,
-                        &annotation("attempt", &AttrValue::U64(a as u64)),
-                    );
-                }
-                put_varint_field(&mut begin, TEV_TYPE, TYPE_SLICE_BEGIN);
-                put_varint_field(&mut begin, TEV_TRACK_UUID, uuid);
-                put_str_field(&mut begin, TEV_CATEGORY, &s.cat);
-                put_str_field(&mut begin, TEV_NAME, &s.name);
+                let begin = labelled_event(
+                    TYPE_SLICE_BEGIN,
+                    uuid,
+                    &s.cat,
+                    &s.name,
+                    &s.attrs,
+                    s.task,
+                    s.attempt,
+                );
                 let mut end_ev = Vec::new();
                 put_varint_field(&mut end_ev, TEV_TYPE, TYPE_SLICE_END);
                 put_varint_field(&mut end_ev, TEV_TRACK_UUID, uuid);
@@ -273,56 +286,46 @@ pub fn perfetto_trace(records: &[Record]) -> Vec<u8> {
                 // innermost (shortest) first. A zero-duration slice keeps
                 // its end glued right after its begin (same rank/idx,
                 // sub-order 1) so track depth never dips negative.
-                packets.push(Packet {
-                    key: (start, 1, u64::MAX - dur, idx, 0),
-                    bytes: packet(Some(start), &begin),
-                });
-                packets.push(Packet {
-                    key: if dur == 0 {
-                        (end, 1, u64::MAX, idx, 1)
-                    } else {
-                        (end, 0, dur, idx, 0)
+                vec![
+                    Packet {
+                        key: (start, 1, u64::MAX - dur, idx, 0),
+                        bytes: event_packet(start, &begin),
                     },
-                    bytes: packet(Some(end), &end_ev),
-                });
+                    Packet {
+                        key: if dur == 0 {
+                            (end, 1, u64::MAX, idx, 1)
+                        } else {
+                            (end, 0, dur, idx, 0)
+                        },
+                        bytes: event_packet(end, &end_ev),
+                    },
+                ]
             }
             Record::Instant(i) => {
-                let uuid = lane_uuid[&i.track];
+                let uuid = self.lane(i.track, declare);
                 let at = ns(i.at_secs);
-                let mut ev = Vec::new();
-                for (k, v) in &i.attrs {
-                    put_len_field(&mut ev, TEV_DEBUG_ANNOTATION, &annotation(k, v));
-                }
-                if let Some(t) = i.task {
-                    put_len_field(
-                        &mut ev,
-                        TEV_DEBUG_ANNOTATION,
-                        &annotation("task", &AttrValue::U64(t)),
-                    );
-                }
-                if let Some(a) = i.attempt {
-                    put_len_field(
-                        &mut ev,
-                        TEV_DEBUG_ANNOTATION,
-                        &annotation("attempt", &AttrValue::U64(a as u64)),
-                    );
-                }
-                put_varint_field(&mut ev, TEV_TYPE, TYPE_INSTANT);
-                put_varint_field(&mut ev, TEV_TRACK_UUID, uuid);
-                put_str_field(&mut ev, TEV_CATEGORY, &i.cat);
-                put_str_field(&mut ev, TEV_NAME, &i.name);
-                packets.push(Packet {
+                let ev = labelled_event(
+                    TYPE_INSTANT,
+                    uuid,
+                    &i.cat,
+                    &i.name,
+                    &i.attrs,
+                    i.task,
+                    i.attempt,
+                );
+                vec![Packet {
                     key: (at, 2, 0, idx, 0),
-                    bytes: packet(Some(at), &ev),
-                });
+                    bytes: event_packet(at, &ev),
+                }]
             }
             Record::Metric(m) => {
-                let Some(at_secs) = m.at_secs else { continue };
-                let uuid = counter_uuid[m.name.as_str()];
-                let at = ns(at_secs);
+                let Some(at) = m.at_secs.map(ns) else {
+                    return Vec::new();
+                };
+                let (uuid, total) = self.counter(&m.name, declare);
+                // Counters plot running totals, like the Chrome exporter.
                 let value = match m.kind {
                     MetricKind::Counter => {
-                        let total = totals.entry(m.name.as_str()).or_insert(0.0);
                         *total += m.value;
                         *total
                     }
@@ -330,23 +333,33 @@ pub fn perfetto_trace(records: &[Record]) -> Vec<u8> {
                 };
                 let mut ev = Vec::new();
                 put_varint_field(&mut ev, TEV_TYPE, TYPE_COUNTER);
-                put_varint_field(&mut ev, TEV_TRACK_UUID, uuid);
-                if (0.0..9_007_199_254_740_992.0).contains(&value) && (value as u64) as f64 == value
-                {
-                    put_varint_field(&mut ev, TEV_COUNTER_VALUE, value as u64);
-                } else {
-                    put_double_field(&mut ev, TEV_DOUBLE_COUNTER_VALUE, value);
+                put_varint_field(&mut ev, TEV_TRACK_UUID, *uuid);
+                match as_exact_u64(value) {
+                    Some(v) => put_varint_field(&mut ev, TEV_COUNTER_VALUE, v),
+                    None => put_double_field(&mut ev, TEV_DOUBLE_COUNTER_VALUE, value),
                 }
-                packets.push(Packet {
+                vec![Packet {
                     key: (at, 3, 0, idx, 0),
-                    bytes: packet(Some(at), &ev),
-                });
+                    bytes: event_packet(at, &ev),
+                }]
             }
         }
     }
+}
+
+/// Render a record stream as a binary Perfetto trace: every descriptor
+/// first, then all events in one nesting-stable time sort.
+pub fn perfetto_trace(records: &[Record]) -> Vec<u8> {
+    let mut tracks = Tracks::default();
+    let mut descriptors = vec![process_descriptor()];
+    let mut packets: Vec<Packet> = Vec::with_capacity(records.len() * 2);
+    for (idx, record) in records.iter().enumerate() {
+        packets.extend(tracks.encode(idx, record, &mut descriptors));
+    }
     packets.sort_by_key(|p| p.key);
-    for p in packets {
-        put_len_field(&mut out, 1, &p.bytes);
+    let mut out = Vec::with_capacity(records.len() * 24 + 64);
+    for bytes in descriptors.iter().chain(packets.iter().map(|p| &p.bytes)) {
+        put_len_field(&mut out, 1, bytes);
     }
     out
 }
@@ -415,26 +428,20 @@ impl<W: Write> TraceSink for PerfettoSink<W> {
 /// [`PerfettoSink`].
 pub struct PerfettoStreamSink<W: Write> {
     w: W,
-    lane_uuid: BTreeMap<u64, u64>,
-    counter_uuid: BTreeMap<String, u64>,
-    next_uuid: u64,
-    totals: BTreeMap<String, f64>,
+    tracks: Tracks,
 }
 
 impl<W: Write> PerfettoStreamSink<W> {
     pub fn new(w: W) -> Self {
         PerfettoStreamSink {
             w,
-            lane_uuid: BTreeMap::new(),
-            counter_uuid: BTreeMap::new(),
-            next_uuid: PROCESS_UUID + 1,
-            totals: BTreeMap::new(),
+            tracks: Tracks::default(),
         }
     }
 
     /// Tracks declared so far (memory-bound diagnostics).
     pub fn tracks_declared(&self) -> usize {
-        self.lane_uuid.len() + self.counter_uuid.len()
+        self.tracks.declared()
     }
 
     fn write_packet(&mut self, bytes: &[u8]) -> std::io::Result<()> {
@@ -442,130 +449,20 @@ impl<W: Write> PerfettoStreamSink<W> {
         put_len_field(&mut framed, 1, bytes);
         self.w.write_all(&framed)
     }
-
-    fn lane_track(&mut self, lane: u64) -> std::io::Result<u64> {
-        if let Some(&uuid) = self.lane_uuid.get(&lane) {
-            return Ok(uuid);
-        }
-        let uuid = self.next_uuid;
-        self.next_uuid += 1;
-        self.lane_uuid.insert(lane, uuid);
-        let mut desc = Vec::new();
-        put_varint_field(&mut desc, TDESC_UUID, uuid);
-        put_str_field(&mut desc, TDESC_NAME, &format!("track-{lane}"));
-        put_varint_field(&mut desc, TDESC_PARENT_UUID, PROCESS_UUID);
-        self.write_packet(&descriptor_packet(&desc))?;
-        Ok(uuid)
-    }
-
-    fn counter_track(&mut self, name: &str) -> std::io::Result<u64> {
-        if let Some(&uuid) = self.counter_uuid.get(name) {
-            return Ok(uuid);
-        }
-        let uuid = self.next_uuid;
-        self.next_uuid += 1;
-        self.counter_uuid.insert(name.to_string(), uuid);
-        let mut desc = Vec::new();
-        put_varint_field(&mut desc, TDESC_UUID, uuid);
-        put_str_field(&mut desc, TDESC_NAME, name);
-        put_varint_field(&mut desc, TDESC_PARENT_UUID, PROCESS_UUID);
-        put_len_field(&mut desc, TDESC_COUNTER, &[]); // presence marks the track type
-        self.write_packet(&descriptor_packet(&desc))?;
-        Ok(uuid)
-    }
-}
-
-fn annotate_ids(
-    ev: &mut Vec<u8>,
-    attrs: &[(String, AttrValue)],
-    task: Option<u64>,
-    attempt: Option<u32>,
-) {
-    for (k, v) in attrs {
-        put_len_field(ev, TEV_DEBUG_ANNOTATION, &annotation(k, v));
-    }
-    if let Some(t) = task {
-        put_len_field(
-            ev,
-            TEV_DEBUG_ANNOTATION,
-            &annotation("task", &AttrValue::U64(t)),
-        );
-    }
-    if let Some(a) = attempt {
-        put_len_field(
-            ev,
-            TEV_DEBUG_ANNOTATION,
-            &annotation("attempt", &AttrValue::U64(a as u64)),
-        );
-    }
 }
 
 impl<W: Write> TraceSink for PerfettoStreamSink<W> {
     fn begin(&mut self) -> std::io::Result<()> {
-        let mut process = Vec::new();
-        put_varint_field(&mut process, PDESC_PID, 1);
-        put_str_field(&mut process, PDESC_NAME, "lfm-sim");
-        let mut desc = Vec::new();
-        put_varint_field(&mut desc, TDESC_UUID, PROCESS_UUID);
-        put_str_field(&mut desc, TDESC_NAME, "lfm-sim");
-        put_len_field(&mut desc, TDESC_PROCESS, &process);
-        self.write_packet(&descriptor_packet(&desc))
+        self.write_packet(&process_descriptor())
     }
 
     fn record(&mut self, record: &Record) -> std::io::Result<()> {
-        match record {
-            Record::Span(s) => {
-                let uuid = self.lane_track(s.track)?;
-                let (start, end) = (ns(s.start_secs), ns(s.end_secs));
-                let mut begin = Vec::new();
-                annotate_ids(&mut begin, &s.attrs, s.task, s.attempt);
-                put_varint_field(&mut begin, TEV_TYPE, TYPE_SLICE_BEGIN);
-                put_varint_field(&mut begin, TEV_TRACK_UUID, uuid);
-                put_str_field(&mut begin, TEV_CATEGORY, &s.cat);
-                put_str_field(&mut begin, TEV_NAME, &s.name);
-                self.write_packet(&packet(Some(start), &begin))?;
-                let mut end_ev = Vec::new();
-                put_varint_field(&mut end_ev, TEV_TYPE, TYPE_SLICE_END);
-                put_varint_field(&mut end_ev, TEV_TRACK_UUID, uuid);
-                self.write_packet(&packet(Some(end), &end_ev))
-            }
-            Record::Instant(i) => {
-                let uuid = self.lane_track(i.track)?;
-                let at = ns(i.at_secs);
-                let mut ev = Vec::new();
-                annotate_ids(&mut ev, &i.attrs, i.task, i.attempt);
-                put_varint_field(&mut ev, TEV_TYPE, TYPE_INSTANT);
-                put_varint_field(&mut ev, TEV_TRACK_UUID, uuid);
-                put_str_field(&mut ev, TEV_CATEGORY, &i.cat);
-                put_str_field(&mut ev, TEV_NAME, &i.name);
-                self.write_packet(&packet(Some(at), &ev))
-            }
-            Record::Metric(m) => {
-                let Some(at_secs) = m.at_secs else {
-                    return Ok(()); // untimed: aggregates only, no timeline
-                };
-                let uuid = self.counter_track(&m.name)?;
-                let at = ns(at_secs);
-                let value = match m.kind {
-                    MetricKind::Counter => {
-                        let total = self.totals.entry(m.name.clone()).or_insert(0.0);
-                        *total += m.value;
-                        *total
-                    }
-                    _ => m.value,
-                };
-                let mut ev = Vec::new();
-                put_varint_field(&mut ev, TEV_TYPE, TYPE_COUNTER);
-                put_varint_field(&mut ev, TEV_TRACK_UUID, uuid);
-                if (0.0..9_007_199_254_740_992.0).contains(&value) && (value as u64) as f64 == value
-                {
-                    put_varint_field(&mut ev, TEV_COUNTER_VALUE, value as u64);
-                } else {
-                    put_double_field(&mut ev, TEV_DOUBLE_COUNTER_VALUE, value);
-                }
-                self.write_packet(&packet(Some(at), &ev))
-            }
+        let mut declare = Vec::new();
+        let packets = self.tracks.encode(0, record, &mut declare);
+        for bytes in declare.iter().chain(packets.iter().map(|p| &p.bytes)) {
+            self.write_packet(bytes)?;
         }
+        Ok(())
     }
 
     fn finish(&mut self) -> std::io::Result<()> {
@@ -587,81 +484,41 @@ pub struct TraceStats {
     pub counter_samples: usize,
 }
 
-struct Reader<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
+/// One protobuf field: its number, the value if it is a varint, the
+/// payload if it is length-delimited.
+type Field<'a> = (u64, Option<u64>, Option<&'a [u8]>);
 
-impl<'a> Reader<'a> {
-    fn done(&self) -> bool {
-        self.pos >= self.b.len()
-    }
-
-    fn varint(&mut self) -> Result<u64, String> {
-        let mut out = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = *self
-                .b
-                .get(self.pos)
-                .ok_or_else(|| format!("varint truncated at byte {}", self.pos))?;
-            self.pos += 1;
-            if shift >= 64 {
-                return Err(format!("varint too long at byte {}", self.pos));
-            }
-            out |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(out);
-            }
-            shift += 7;
-        }
-    }
-
-    fn skip(&mut self, n: usize) -> Result<(), String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.b.len())
-            .ok_or_else(|| format!("field truncated at byte {}", self.pos))?;
-        self.pos = end;
-        Ok(())
-    }
-
-    fn len_delimited(&mut self) -> Result<&'a [u8], String> {
-        let n = self.varint()? as usize;
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.b.len())
-            .ok_or_else(|| format!("length-delimited field truncated at byte {}", self.pos))?;
-        let out = &self.b[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    /// Read one field tag and its payload; returns `(field, varint value
-    /// if wiretype 0, bytes if wiretype 2)`.
-    #[allow(clippy::type_complexity)]
-    fn field(&mut self) -> Result<(u64, Option<u64>, Option<&'a [u8]>), String> {
-        let key = self.varint()?;
+/// Read one field tag and its payload.
+fn read_field<'a>(r: &mut Reader<'a>) -> Result<Field<'a>, String> {
+    let read = |r: &mut Reader<'a>| -> Result<Field<'a>, codec::Error> {
+        let at = r.position();
+        let key = r.varint()?;
         let field = key >> 3;
         match key & 7 {
-            0 => Ok((field, Some(self.varint()?), None)),
-            1 => {
-                self.skip(8)?;
-                Ok((field, None, None))
-            }
-            2 => {
-                let bytes = self.len_delimited()?;
-                Ok((field, None, Some(bytes)))
-            }
-            5 => {
-                self.skip(4)?;
-                Ok((field, None, None))
-            }
-            wt => Err(format!("unsupported wire type {wt} at byte {}", self.pos)),
+            0 => Ok((field, Some(r.varint()?), None)),
+            1 => r.take(8).map(|_| (field, None, None)),
+            2 => Ok((field, None, Some(r.varint_bytes()?))),
+            5 => r.take(4).map(|_| (field, None, None)),
+            _ => Err(codec::Error::Corrupt {
+                at,
+                what: "wire type",
+            }),
+        }
+    };
+    read(r).map_err(|e| format!("trace field {e}"))
+}
+
+/// The value of varint field `field` in `msg` (its last occurrence).
+fn varint_field(msg: &[u8], field: u64) -> Result<Option<u64>, String> {
+    let mut r = Reader::new(msg);
+    let mut value = None;
+    while !r.is_empty() {
+        let (f, v, _) = read_field(&mut r)?;
+        if f == field {
+            value = Some(v.ok_or_else(|| format!("field {field} must be varint"))?);
         }
     }
+    Ok(value)
 }
 
 /// Structurally validate a Perfetto trace produced by [`perfetto_trace`]
@@ -672,54 +529,35 @@ impl<'a> Reader<'a> {
 pub fn validate_trace(bytes: &[u8]) -> Result<TraceStats, String> {
     let mut stats = TraceStats::default();
     let mut known_tracks: BTreeMap<u64, i64> = BTreeMap::new(); // uuid → open slice depth
-    let mut r = Reader { b: bytes, pos: 0 };
-    while !r.done() {
-        let (field, _, payload) = r.field()?;
+    let mut r = Reader::new(bytes);
+    while !r.is_empty() {
+        let (field, _, payload) = read_field(&mut r)?;
         if field != 1 {
             return Err(format!("unexpected top-level field {field}"));
         }
         let payload = payload.ok_or("packet must be length-delimited")?;
         stats.packets += 1;
-        let mut pkt = Reader { b: payload, pos: 0 };
-        while !pkt.done() {
-            let (field, value, bytes) = pkt.field()?;
+        let mut pkt = Reader::new(payload);
+        while !pkt.is_empty() {
+            let (field, value, bytes) = read_field(&mut pkt)?;
             match field {
                 PKT_TIMESTAMP | PKT_SEQUENCE_ID => {
                     value.ok_or("timestamp/sequence id must be varint")?;
                 }
                 PKT_TRACK_DESCRIPTOR => {
-                    let mut desc = Reader {
-                        b: bytes.ok_or("track descriptor must be a message")?,
-                        pos: 0,
-                    };
-                    let mut uuid = None;
-                    while !desc.done() {
-                        let (f, v, _) = desc.field()?;
-                        if f == TDESC_UUID {
-                            uuid = Some(v.ok_or("uuid must be varint")?);
-                        }
-                    }
-                    let uuid = uuid.ok_or("track descriptor without uuid")?;
+                    let desc = bytes.ok_or("track descriptor must be a message")?;
+                    let uuid =
+                        varint_field(desc, TDESC_UUID)?.ok_or("track descriptor without uuid")?;
                     if known_tracks.insert(uuid, 0).is_some() {
                         return Err(format!("duplicate descriptor for track {uuid}"));
                     }
                     stats.tracks += 1;
                 }
                 PKT_TRACK_EVENT => {
-                    let mut ev = Reader {
-                        b: bytes.ok_or("track event must be a message")?,
-                        pos: 0,
-                    };
-                    let (mut ev_type, mut uuid) = (None, None);
-                    while !ev.done() {
-                        let (f, v, _) = ev.field()?;
-                        match f {
-                            TEV_TYPE => ev_type = Some(v.ok_or("event type must be varint")?),
-                            TEV_TRACK_UUID => uuid = Some(v.ok_or("track uuid must be varint")?),
-                            _ => {}
-                        }
-                    }
-                    let uuid = uuid.ok_or("track event without track_uuid")?;
+                    let ev = bytes.ok_or("track event must be a message")?;
+                    let ev_type = varint_field(ev, TEV_TYPE)?;
+                    let uuid = varint_field(ev, TEV_TRACK_UUID)?
+                        .ok_or("track event without track_uuid")?;
                     let depth = known_tracks
                         .get_mut(&uuid)
                         .ok_or_else(|| format!("event references undeclared track {uuid}"))?;
@@ -816,10 +654,15 @@ mod tests {
         put_varint_field(&mut ev, TEV_TYPE, TYPE_INSTANT);
         put_varint_field(&mut ev, TEV_TRACK_UUID, 99);
         let mut bogus = Vec::new();
-        put_len_field(&mut bogus, 1, &packet(Some(5), &ev));
+        put_len_field(&mut bogus, 1, &event_packet(5, &ev));
         assert!(validate_trace(&bogus)
             .unwrap_err()
             .contains("undeclared track"));
+        // A packet length varint whose 10th byte overflows 64 bits.
+        let mut overlong = vec![0x0a];
+        overlong.extend([0x80; 9]);
+        overlong.push(0x02);
+        assert!(validate_trace(&overlong).is_err());
     }
 
     #[test]
@@ -879,5 +722,89 @@ mod tests {
         assert_eq!(stats.slices, slice_stats.slices);
         assert_eq!(stats.instants, slice_stats.instants);
         assert_eq!(stats.counter_samples, slice_stats.counter_samples);
+    }
+
+    /// A fixed record set built from plain structs (no interning, no
+    /// recorder), covering nested and zero-length slices, instants, every
+    /// annotation type, counters with int and double values, and an
+    /// untimed metric.
+    fn pinned_records() -> Vec<Record> {
+        use crate::record::{InstantRecord, MetricRecord, SpanRecord};
+        let span = |seq, name: &str, track, start, end, task, attrs| {
+            Record::Span(SpanRecord {
+                seq,
+                name: name.into(),
+                cat: "sim".into(),
+                start_secs: start,
+                end_secs: end,
+                track,
+                depth: 0,
+                task,
+                attempt: task.map(|t| (t % 3) as u32),
+                attrs,
+            })
+        };
+        let metric = |seq, name: &str, kind, value, at_secs| {
+            Record::Metric(MetricRecord {
+                seq,
+                name: name.into(),
+                kind,
+                value,
+                at_secs,
+            })
+        };
+        vec![
+            span(
+                0,
+                "outer",
+                2,
+                1.0,
+                4.0,
+                Some(5),
+                vec![
+                    ("polls".into(), AttrValue::U64(7)),
+                    ("peak".into(), AttrValue::F64(1.25)),
+                    ("status".into(), AttrValue::Str("ok".into())),
+                ],
+            ),
+            span(1, "inner", 2, 2.0, 4.0, None, Vec::new()),
+            span(2, "blip", 2, 4.0, 4.0, None, Vec::new()),
+            span(3, "other", 9, 0.5, 1.5, Some(1 << 33), Vec::new()),
+            Record::Instant(InstantRecord {
+                seq: 4,
+                name: "kill".into(),
+                cat: "sim".into(),
+                at_secs: 3.0,
+                track: 9,
+                task: Some(12),
+                attempt: None,
+                attrs: vec![("why".into(), AttrValue::Str("limit".into()))],
+            }),
+            metric(5, "done", MetricKind::Counter, 1.0, Some(2.0)),
+            metric(6, "done", MetricKind::Counter, 0.5, Some(3.0)),
+            metric(7, "depth", MetricKind::Gauge, 4.0, Some(2.5)),
+            metric(8, "depth", MetricKind::Gauge, -1.5, Some(3.5)),
+            metric(9, "untimed", MetricKind::Histogram, 9.0, None),
+        ]
+    }
+
+    /// Length and FNV-1a digest of the buffered and the streamed trace of
+    /// [`pinned_records`]: pins both encoders byte for byte.
+    #[test]
+    fn trace_bytes_are_pinned() {
+        let records = pinned_records();
+        let slice = perfetto_trace(&records);
+        assert_eq!(
+            (slice.len(), crate::codec::fnv1a(&slice)),
+            (528, 0x2b1e948c9ee2f5dd)
+        );
+        let mut stream = Vec::new();
+        let mut sink = PerfettoStreamSink::new(&mut stream);
+        crate::export::export_records(&mut sink, records.iter().cloned()).unwrap();
+        drop(sink);
+        assert_eq!(
+            (stream.len(), crate::codec::fnv1a(&stream)),
+            (528, 0x7f6d617de2a4cfeb)
+        );
     }
 }

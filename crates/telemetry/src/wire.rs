@@ -48,6 +48,7 @@
 //! whole stream first. Decoding is fully bounds-checked: truncated or
 //! corrupt input yields [`DecodeError`], never a panic.
 
+use crate::codec::{self, put_f64, put_u8, put_varint, unzigzag, zigzag, Reader};
 use crate::intern::Name;
 use crate::record::{AttrValue, InstantRecord, MetricKind, MetricRecord, Record, SpanRecord};
 
@@ -192,27 +193,8 @@ pub(crate) struct CodecState {
 }
 
 // ---------------------------------------------------------------------
-// varint primitives
+// exactness checks for the varint fast paths
 // ---------------------------------------------------------------------
-
-#[inline]
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
-}
-
-#[inline]
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
 
 /// `Some(µs)` iff dividing back by 1e6 reproduces `secs` bit-exactly —
 /// the condition under which the varint time path is lossless.
@@ -234,9 +216,9 @@ fn as_exact_micros(secs: f64) -> Option<u64> {
 }
 
 /// `Some(n)` iff `n as f64` reproduces `v` bit-exactly (integral fast
-/// path for gauge/observation values).
+/// path for gauge/observation values, and Perfetto's integer counters).
 #[inline]
-fn as_exact_u64(v: f64) -> Option<u64> {
+pub(crate) fn as_exact_u64(v: f64) -> Option<u64> {
     if v.is_nan() || !(0.0..9_007_199_254_740_992.0).contains(&v) {
         return None;
     }
@@ -266,7 +248,7 @@ fn put_attrs(buf: &mut Vec<u8>, attrs: &AttrList) {
                     put_varint(buf, u);
                 } else {
                     put_varint(buf, (key.0 as u64) << 2 | 1);
-                    buf.extend_from_slice(&v.to_le_bytes());
+                    put_f64(buf, *v);
                 }
             }
             WireVal::Str(id) => {
@@ -274,6 +256,29 @@ fn put_attrs(buf: &mut Vec<u8>, attrs: &AttrList) {
                 put_varint(buf, id.0 as u64);
             }
         }
+    }
+}
+
+/// Presence flags for the optional trailer of a span or instant.
+#[inline]
+fn trailer_flags(task: Option<u64>, attempt: Option<u32>, attrs: &AttrList) -> u8 {
+    let flag = |present: bool, f: u8| if present { f } else { 0 };
+    flag(task.is_some(), FLAG_TASK)
+        | flag(attempt.is_some(), FLAG_ATTEMPT)
+        | flag(!attrs.is_empty(), FLAG_ATTRS)
+}
+
+/// The optional trailer of a span or instant: task, attempt, attrs.
+#[inline]
+fn put_trailer(buf: &mut Vec<u8>, task: Option<u64>, attempt: Option<u32>, attrs: &AttrList) {
+    if let Some(t) = task {
+        put_varint(buf, t);
+    }
+    if let Some(a) = attempt {
+        put_varint(buf, a as u64);
+    }
+    if !attrs.is_empty() {
+        put_attrs(buf, attrs);
     }
 }
 
@@ -293,16 +298,7 @@ pub(crate) fn encode_span(buf: &mut Vec<u8>, st: &mut CodecState, seq: u64, s: &
     if times.is_none() {
         tag |= FLAG_TIME_RAW;
     }
-    if s.task.is_some() {
-        tag |= FLAG_TASK;
-    }
-    if s.attempt.is_some() {
-        tag |= FLAG_ATTEMPT;
-    }
-    if !s.attrs.is_empty() {
-        tag |= FLAG_ATTRS;
-    }
-    buf.push(tag);
+    put_u8(buf, tag | trailer_flags(s.task, s.attempt, &s.attrs));
     put_seq(buf, st, seq);
     put_varint(buf, s.name.0 as u64);
     put_varint(buf, s.cat.0 as u64);
@@ -313,21 +309,13 @@ pub(crate) fn encode_span(buf: &mut Vec<u8>, st: &mut CodecState, seq: u64, s: &
             st.last_us = start_us;
         }
         None => {
-            buf.extend_from_slice(&s.start_secs.to_le_bytes());
-            buf.extend_from_slice(&s.end_secs.to_le_bytes());
+            put_f64(buf, s.start_secs);
+            put_f64(buf, s.end_secs);
         }
     }
     put_varint(buf, s.track);
     put_varint(buf, s.depth as u64);
-    if let Some(t) = s.task {
-        put_varint(buf, t);
-    }
-    if let Some(a) = s.attempt {
-        put_varint(buf, a as u64);
-    }
-    if !s.attrs.is_empty() {
-        put_attrs(buf, &s.attrs);
-    }
+    put_trailer(buf, s.task, s.attempt, &s.attrs);
 }
 
 /// Encode one instant into a shard buffer.
@@ -337,16 +325,7 @@ pub(crate) fn encode_instant(buf: &mut Vec<u8>, st: &mut CodecState, seq: u64, i
     if at.is_none() {
         tag |= FLAG_TIME_RAW;
     }
-    if i.task.is_some() {
-        tag |= FLAG_TASK;
-    }
-    if i.attempt.is_some() {
-        tag |= FLAG_ATTEMPT;
-    }
-    if !i.attrs.is_empty() {
-        tag |= FLAG_ATTRS;
-    }
-    buf.push(tag);
+    put_u8(buf, tag | trailer_flags(i.task, i.attempt, &i.attrs));
     put_seq(buf, st, seq);
     put_varint(buf, i.name.0 as u64);
     put_varint(buf, i.cat.0 as u64);
@@ -355,18 +334,10 @@ pub(crate) fn encode_instant(buf: &mut Vec<u8>, st: &mut CodecState, seq: u64, i
             put_varint(buf, zigzag(us as i64 - st.last_us as i64));
             st.last_us = us;
         }
-        None => buf.extend_from_slice(&i.at_secs.to_le_bytes()),
+        None => put_f64(buf, i.at_secs),
     }
     put_varint(buf, i.track);
-    if let Some(t) = i.task {
-        put_varint(buf, t);
-    }
-    if let Some(a) = i.attempt {
-        put_varint(buf, a as u64);
-    }
-    if !i.attrs.is_empty() {
-        put_attrs(buf, &i.attrs);
-    }
+    put_trailer(buf, i.task, i.attempt, &i.attrs);
 }
 
 /// Encode one metric sample (counter / gauge / observation).
@@ -399,7 +370,7 @@ pub(crate) fn encode_metric(
             false
         }
     };
-    buf.push(tag);
+    put_u8(buf, tag);
     put_seq(buf, st, seq);
     put_varint(buf, name.0 as u64);
     if let Some(secs) = at_secs {
@@ -408,13 +379,13 @@ pub(crate) fn encode_metric(
                 put_varint(buf, zigzag(us as i64 - st.last_us as i64));
                 st.last_us = us;
             }
-            None => buf.extend_from_slice(&secs.to_le_bytes()),
+            None => put_f64(buf, secs),
         }
     }
     if value_packed {
         put_varint(buf, value as u64);
     } else {
-        buf.extend_from_slice(&value.to_le_bytes());
+        put_f64(buf, value);
     }
 }
 
@@ -449,12 +420,31 @@ impl std::fmt::Display for DecodeError {
     }
 }
 
+impl From<codec::Error> for DecodeError {
+    fn from(e: codec::Error) -> Self {
+        match e {
+            codec::Error::Truncated { at } => DecodeError::Truncated { at },
+            codec::Error::Corrupt { at, what } => DecodeError::Corrupt { at, what },
+        }
+    }
+}
+
+/// The interned string `id` (read at byte `at`) stands for.
+fn resolve(at: usize, id: u64) -> Result<&'static str, DecodeError> {
+    u32::try_from(id)
+        .ok()
+        .and_then(|id| Name(id).resolve())
+        .ok_or(DecodeError::BadName { at, id })
+}
+
+/// A decoded span/instant trailer: task, attempt, attrs.
+type Trailer = (Option<u64>, Option<u32>, Vec<(String, AttrValue)>);
+
 /// Streaming decoder over one shard's bytes. Yields records in shard
 /// (= seq) order; stops at the first error, which [`Iterator::next`]
 /// reports once and then fuses.
 pub struct ShardDecoder<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+    r: Reader<'a>,
     st: CodecState,
     failed: bool,
 }
@@ -471,8 +461,7 @@ impl<'a> ShardDecoder<'a> {
     /// with the state it saved rather than re-decoding the prefix.
     pub(crate) fn with_state(bytes: &'a [u8], st: CodecState) -> Self {
         ShardDecoder {
-            bytes,
-            pos: 0,
+            r: Reader::new(bytes),
             st,
             failed: false,
         }
@@ -480,7 +469,7 @@ impl<'a> ShardDecoder<'a> {
 
     /// Bytes consumed so far (diagnostics).
     pub fn position(&self) -> usize {
-        self.pos
+        self.r.position()
     }
 
     /// The codec state after the last successfully decoded record — save
@@ -490,69 +479,18 @@ impl<'a> ShardDecoder<'a> {
         self.st
     }
 
-    fn get_u8(&mut self) -> Result<u8, DecodeError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or(DecodeError::Truncated { at: self.pos })?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn get_varint(&mut self) -> Result<u64, DecodeError> {
-        let start = self.pos;
-        let mut out: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let b = self.get_u8()?;
-            if shift == 63 && b > 1 {
-                return Err(DecodeError::Corrupt {
-                    at: start,
-                    what: "varint overflow",
-                });
-            }
-            out |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(out);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(DecodeError::Corrupt {
-                    at: start,
-                    what: "varint too long",
-                });
-            }
-        }
-    }
-
-    fn get_f64(&mut self) -> Result<f64, DecodeError> {
-        let end = self
-            .pos
-            .checked_add(8)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(DecodeError::Truncated { at: self.pos })?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.bytes[self.pos..end]);
-        self.pos = end;
-        Ok(f64::from_le_bytes(raw))
-    }
-
     fn get_name(&mut self) -> Result<&'static str, DecodeError> {
-        let at = self.pos;
-        let id = self.get_varint()?;
-        u32::try_from(id)
-            .ok()
-            .and_then(|id| Name(id).resolve())
-            .ok_or(DecodeError::BadName { at, id })
+        let at = self.r.position();
+        resolve(at, self.r.varint()?)
     }
 
     /// A timestamp: varint µs delta against shard state, or raw f64.
     fn get_time(&mut self, raw: bool) -> Result<f64, DecodeError> {
         if raw {
-            return self.get_f64();
+            return Ok(self.r.f64()?);
         }
-        let at = self.pos;
-        let delta = unzigzag(self.get_varint()?);
+        let at = self.r.position();
+        let delta = unzigzag(self.r.varint()?);
         let us = (self.st.last_us as i64)
             .checked_add(delta)
             .ok_or(DecodeError::Corrupt {
@@ -570,8 +508,8 @@ impl<'a> ShardDecoder<'a> {
     }
 
     fn get_attrs(&mut self) -> Result<Vec<(String, AttrValue)>, DecodeError> {
-        let at = self.pos;
-        let n = self.get_varint()?;
+        let at = self.r.position();
+        let n = self.r.varint()?;
         if n > 1 << 20 {
             return Err(DecodeError::Corrupt {
                 at,
@@ -580,48 +518,52 @@ impl<'a> ShardDecoder<'a> {
         }
         let mut attrs = Vec::with_capacity(n as usize);
         for _ in 0..n {
-            let at = self.pos;
-            let packed = self.get_varint()?;
-            let key_id = packed >> 2;
-            let key = u32::try_from(key_id)
-                .ok()
-                .and_then(|id| Name(id).resolve())
-                .ok_or(DecodeError::BadName { at, id: key_id })?;
+            let at = self.r.position();
+            let packed = self.r.varint()?;
+            let key = resolve(at, packed >> 2)?;
             let value = match packed & 3 {
-                0 => AttrValue::U64(self.get_varint()?),
-                1 => AttrValue::F64(self.get_f64()?),
-                2 => {
-                    let at = self.pos;
-                    let id = self.get_varint()?;
-                    let s = u32::try_from(id)
-                        .ok()
-                        .and_then(|id| Name(id).resolve())
-                        .ok_or(DecodeError::BadName { at, id })?;
-                    AttrValue::Str(s.to_string())
-                }
-                _ => AttrValue::F64(self.get_varint()? as f64),
+                0 => AttrValue::U64(self.r.varint()?),
+                1 => AttrValue::F64(self.r.f64()?),
+                2 => AttrValue::Str(self.get_name()?.to_string()),
+                _ => AttrValue::F64(self.r.varint()? as f64),
             };
             attrs.push((key.to_string(), value));
         }
         Ok(attrs)
     }
 
+    /// The optional trailer of a span or instant, as flagged in `tag`.
+    fn get_trailer(&mut self, tag: u8) -> Result<Trailer, DecodeError> {
+        let task = (tag & FLAG_TASK != 0)
+            .then(|| self.r.varint())
+            .transpose()?;
+        let attempt = (tag & FLAG_ATTEMPT != 0)
+            .then(|| self.r.varint().map(|v| v as u32))
+            .transpose()?;
+        let attrs = if tag & FLAG_ATTRS != 0 {
+            self.get_attrs()?
+        } else {
+            Vec::new()
+        };
+        Ok((task, attempt, attrs))
+    }
+
     fn decode_one(&mut self) -> Result<Record, DecodeError> {
-        let at = self.pos;
-        let tag = self.get_u8()?;
+        let at = self.r.position();
+        let tag = self.r.u8()?;
         let kind = tag & KIND_MASK;
         let raw_time = tag & FLAG_TIME_RAW != 0;
-        let seq = self.st.last_seq.wrapping_add(self.get_varint()?);
+        let seq = self.st.last_seq.wrapping_add(self.r.varint()?);
         self.st.last_seq = seq;
         match kind {
             KIND_SPAN => {
                 let name = self.get_name()?.to_string();
                 let cat = self.get_name()?.to_string();
                 let (start_secs, end_secs) = if raw_time {
-                    (self.get_f64()?, self.get_f64()?)
+                    (self.r.f64()?, self.r.f64()?)
                 } else {
                     let start = self.get_time(false)?;
-                    let dur_us = self.get_varint()?;
+                    let dur_us = self.r.varint()?;
                     let end_us =
                         self.st
                             .last_us
@@ -632,19 +574,9 @@ impl<'a> ShardDecoder<'a> {
                             })?;
                     (start, end_us as f64 / 1e6)
                 };
-                let track = self.get_varint()?;
-                let depth = self.get_varint()? as u32;
-                let task = (tag & FLAG_TASK != 0)
-                    .then(|| self.get_varint())
-                    .transpose()?;
-                let attempt = (tag & FLAG_ATTEMPT != 0)
-                    .then(|| self.get_varint().map(|v| v as u32))
-                    .transpose()?;
-                let attrs = if tag & FLAG_ATTRS != 0 {
-                    self.get_attrs()?
-                } else {
-                    Vec::new()
-                };
+                let track = self.r.varint()?;
+                let depth = self.r.varint()? as u32;
+                let (task, attempt, attrs) = self.get_trailer(tag)?;
                 Ok(Record::Span(SpanRecord {
                     seq,
                     name,
@@ -662,18 +594,8 @@ impl<'a> ShardDecoder<'a> {
                 let name = self.get_name()?.to_string();
                 let cat = self.get_name()?.to_string();
                 let at_secs = self.get_time(raw_time)?;
-                let track = self.get_varint()?;
-                let task = (tag & FLAG_TASK != 0)
-                    .then(|| self.get_varint())
-                    .transpose()?;
-                let attempt = (tag & FLAG_ATTEMPT != 0)
-                    .then(|| self.get_varint().map(|v| v as u32))
-                    .transpose()?;
-                let attrs = if tag & FLAG_ATTRS != 0 {
-                    self.get_attrs()?
-                } else {
-                    Vec::new()
-                };
+                let track = self.r.varint()?;
+                let (task, attempt, attrs) = self.get_trailer(tag)?;
                 Ok(Record::Instant(InstantRecord {
                     seq,
                     name,
@@ -698,9 +620,9 @@ impl<'a> ShardDecoder<'a> {
                     None
                 };
                 let value = if tag & FLAG_VAL_RAW != 0 {
-                    self.get_f64()?
+                    self.r.f64()?
                 } else {
-                    self.get_varint()? as f64
+                    self.r.varint()? as f64
                 };
                 Ok(Record::Metric(MetricRecord {
                     seq,
@@ -719,7 +641,7 @@ impl Iterator for ShardDecoder<'_> {
     type Item = Result<Record, DecodeError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.pos >= self.bytes.len() {
+        if self.failed || self.r.is_empty() {
             return None;
         }
         match self.decode_one() {
@@ -1009,5 +931,93 @@ mod tests {
         let seqs: Vec<u64> = merge.by_ref().map(|r| r.seq()).collect();
         assert_eq!(seqs, vec![0, 1, 2, 4], "healthy records all survive");
         assert_eq!(merge.errors().len(), 1);
+    }
+
+    /// Length and FNV-1a digest of one shard holding spans, instants and
+    /// metrics on both the varint and the raw time/value paths, with every
+    /// attr value tag. Names are fixed ids, so the bytes do not depend on
+    /// interning order.
+    #[test]
+    fn shard_bytes_are_pinned() {
+        let mut buf = Vec::new();
+        let mut st = CodecState::default();
+        let mut attrs = AttrList::default();
+        attrs.push(Name(7), WireVal::U64(300));
+        attrs.push(Name(8), WireVal::F64(0.25));
+        attrs.push(Name(9), WireVal::Str(Name(10)));
+        attrs.push(Name(11), WireVal::F64(42.0));
+        let span = PendingSpan {
+            name: Name(1),
+            cat: Name(2),
+            start_secs: 2.5,
+            end_secs: 4.75,
+            track: 3,
+            depth: 1,
+            task: Some(1 << 40),
+            attempt: Some(2),
+            attrs,
+        };
+        encode_span(&mut buf, &mut st, 5, &span);
+        let raw_span = PendingSpan {
+            name: Name(1),
+            cat: Name(2),
+            start_secs: 1.0 / 3.0,
+            end_secs: 2.0 / 3.0,
+            track: 200,
+            ..PendingSpan::default()
+        };
+        encode_span(&mut buf, &mut st, 6, &raw_span);
+        let instant = PendingInstant {
+            name: Name(3),
+            cat: Name(2),
+            at_secs: 1.5, // earlier than the last span: negative delta
+            track: 4,
+            task: Some(9),
+            ..PendingInstant::default()
+        };
+        encode_instant(&mut buf, &mut st, 9, &instant);
+        let raw_instant = PendingInstant {
+            name: Name(3),
+            cat: Name(2),
+            at_secs: 0.1 + 0.2,
+            attempt: Some(1),
+            ..PendingInstant::default()
+        };
+        encode_instant(&mut buf, &mut st, 10, &raw_instant);
+        let m = Name(4);
+        encode_metric(&mut buf, &mut st, 11, m, MetricKind::Counter, 3.0, None);
+        encode_metric(
+            &mut buf,
+            &mut st,
+            12,
+            m,
+            MetricKind::Counter,
+            1.0,
+            Some(6.0),
+        );
+        encode_metric(
+            &mut buf,
+            &mut st,
+            13,
+            m,
+            MetricKind::Gauge,
+            17.0,
+            Some(1.0 / 7.0),
+        );
+        encode_metric(
+            &mut buf,
+            &mut st,
+            14,
+            m,
+            MetricKind::Gauge,
+            0.336,
+            Some(7.25),
+        );
+        encode_metric(&mut buf, &mut st, 20, m, MetricKind::Histogram, -2.5, None);
+        encode_metric(&mut buf, &mut st, 21, m, MetricKind::Histogram, 1e300, None);
+        assert_eq!(
+            (buf.len(), crate::codec::fnv1a(&buf)),
+            (145, 0x8a3f647c863a977f)
+        );
     }
 }

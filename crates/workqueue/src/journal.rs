@@ -24,10 +24,11 @@
 //!   completions) survives a master crash by definition — only the
 //!   coordinator's memory is lost.
 //!
-//! Everything is encoded with a small hand-rolled little-endian binary
-//! format (the vendored serde is a stub): `u8` tags, fixed-width LE
-//! integers, `f64` as raw bits (exact round-trip), and length-prefixed
-//! strings. See DESIGN.md §5e for the format and the recovery invariants.
+//! Everything is encoded with the fixed-width family of the shared
+//! [`lfm_telemetry::codec`] (the vendored serde is a stub): `u8` tags,
+//! fixed-width LE integers, `f64` as raw bits (exact round-trip), and
+//! length-prefixed strings. See DESIGN.md §5e for the format and the
+//! recovery invariants.
 
 use crate::files::{FileKind, FileRef};
 use crate::task::{TaskId, TaskResult, TaskSpec};
@@ -35,6 +36,9 @@ use lfm_monitor::report::{MonitorOutcome, ResourceKind, ResourceReport};
 use lfm_monitor::sim::SimTaskProfile;
 use lfm_simcluster::node::Resources;
 use lfm_simcluster::time::SimTime;
+use lfm_telemetry::codec::{
+    self, put_bool, put_f64, put_i32, put_seq, put_str, put_u32, put_u64, put_u8, Reader,
+};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Durability knobs for the master. Defaults to journaling off — a
@@ -114,31 +118,24 @@ pub(crate) enum CounterKey {
 }
 
 impl CounterKey {
-    fn tag(self) -> u8 {
-        match self {
-            CounterKey::WorkersProvisioned => 0,
-            CounterKey::WorkersLost => 1,
-            CounterKey::TasksLost => 2,
-            CounterKey::LeaseReclaims => 3,
-            CounterKey::StageInFailures => 4,
-            CounterKey::SpuriousKills => 5,
-            CounterKey::ResultMsgsLost => 6,
-            CounterKey::LostCoreSecs => 7,
-        }
-    }
+    /// Every key, in tag order (the declaration order, so `key as u8` is
+    /// its tag).
+    const ALL: [CounterKey; 8] = [
+        CounterKey::WorkersProvisioned,
+        CounterKey::WorkersLost,
+        CounterKey::TasksLost,
+        CounterKey::LeaseReclaims,
+        CounterKey::StageInFailures,
+        CounterKey::SpuriousKills,
+        CounterKey::ResultMsgsLost,
+        CounterKey::LostCoreSecs,
+    ];
 
     fn from_tag(t: u8) -> Result<Self, JournalError> {
-        Ok(match t {
-            0 => CounterKey::WorkersProvisioned,
-            1 => CounterKey::WorkersLost,
-            2 => CounterKey::TasksLost,
-            3 => CounterKey::LeaseReclaims,
-            4 => CounterKey::StageInFailures,
-            5 => CounterKey::SpuriousKills,
-            6 => CounterKey::ResultMsgsLost,
-            7 => CounterKey::LostCoreSecs,
-            _ => return Err(JournalError::BadTag("counter", t)),
-        })
+        Self::ALL
+            .get(t as usize)
+            .copied()
+            .ok_or(JournalError::BadTag("counter", t))
     }
 }
 
@@ -264,39 +261,29 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-// ---- encoding primitives ----
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+impl From<codec::Error> for JournalError {
+    fn from(e: codec::Error) -> Self {
+        match e {
+            codec::Error::Truncated { .. } => JournalError::Truncated,
+            // The journal reads no varints: its only corrupt
+            // codec-level field is a string that is not UTF-8.
+            codec::Error::Corrupt { .. } => JournalError::BadString,
+        }
+    }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i32(out: &mut Vec<u8>, v: i32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
+// ---- journal-specific fields over the shared codec ----
 
 fn put_time(out: &mut Vec<u8>, t: SimTime) {
     put_f64(out, t.as_secs());
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+/// A lease deadline: tag 0 (none) or 1 followed by the time.
+fn put_opt_time(out: &mut Vec<u8>, t: Option<SimTime>) {
+    put_bool(out, t.is_some());
+    if let Some(t) = t {
+        put_time(out, t);
+    }
 }
 
 fn put_resources(out: &mut Vec<u8>, r: &Resources) {
@@ -305,75 +292,39 @@ fn put_resources(out: &mut Vec<u8>, r: &Resources) {
     put_u64(out, r.disk_mb);
 }
 
-/// A little-endian byte reader over an encoded journal/snapshot.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn time(r: &mut Reader<'_>) -> Result<SimTime, JournalError> {
+    let secs = r.f64()?;
+    if !(secs.is_finite() && secs >= 0.0) {
+        return Err(JournalError::BadTag("sim-time", 0));
+    }
+    Ok(SimTime::from_secs(secs))
 }
 
-impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+fn opt_time(r: &mut Reader<'_>) -> Result<Option<SimTime>, JournalError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => time(r).map(Some),
+        t => Err(JournalError::BadTag("lease-at", t)),
     }
+}
 
-    pub fn is_empty(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
+/// A pending entry or armed backoff: `(task_idx, attempt, time)`.
+fn put_timed(out: &mut Vec<u8>, &(t, a, at): &(u64, u32, SimTime)) {
+    put_u64(out, t);
+    put_u32(out, a);
+    put_time(out, at);
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], JournalError> {
-        let end = self.pos.checked_add(n).ok_or(JournalError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(JournalError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
+fn timed(r: &mut Reader<'_>) -> Result<(u64, u32, SimTime), JournalError> {
+    Ok((r.u64()?, r.u32()?, time(r)?))
+}
 
-    fn u8(&mut self) -> Result<u8, JournalError> {
-        Ok(self.take(1)?[0])
-    }
+fn string(r: &mut Reader<'_>) -> Result<String, JournalError> {
+    Ok(r.str()?.to_string())
+}
 
-    fn u32(&mut self) -> Result<u32, JournalError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, JournalError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i32(&mut self) -> Result<i32, JournalError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, JournalError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, JournalError> {
-        Ok(self.u8()? != 0)
-    }
-
-    fn time(&mut self) -> Result<SimTime, JournalError> {
-        let secs = self.f64()?;
-        if !(secs.is_finite() && secs >= 0.0) {
-            return Err(JournalError::BadTag("sim-time", 0));
-        }
-        Ok(SimTime::from_secs(secs))
-    }
-
-    fn string(&mut self) -> Result<String, JournalError> {
-        let len = self.u64()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| JournalError::BadString)
-    }
-
-    fn resources(&mut self) -> Result<Resources, JournalError> {
-        let cores = self.u32()?;
-        let memory_mb = self.u64()?;
-        let disk_mb = self.u64()?;
-        Ok(Resources::new(cores, memory_mb, disk_mb))
-    }
+fn resources(r: &mut Reader<'_>) -> Result<Resources, JournalError> {
+    Ok(Resources::new(r.u32()?, r.u64()?, r.u64()?))
 }
 
 fn put_resource_kind(out: &mut Vec<u8>, k: Option<ResourceKind>) {
@@ -490,12 +441,12 @@ fn put_result(out: &mut Vec<u8>, tr: &TaskResult) {
 fn read_result(r: &mut Reader<'_>) -> Result<TaskResult, JournalError> {
     Ok(TaskResult {
         task: TaskId(r.u64()?),
-        category: r.string()?,
+        category: string(r)?,
         worker: r.u32()?,
-        allocated: r.resources()?,
-        submitted_at: r.time()?,
-        started_at: r.time()?,
-        finished_at: r.time()?,
+        allocated: resources(r)?,
+        submitted_at: time(r)?,
+        started_at: time(r)?,
+        finished_at: time(r)?,
         stage_in_secs: r.f64()?,
         exec_secs: r.f64()?,
         outcome: read_outcome(r)?,
@@ -523,7 +474,7 @@ fn put_file_ref(out: &mut Vec<u8>, f: &FileRef) {
 }
 
 fn read_file_ref(r: &mut Reader<'_>) -> Result<FileRef, JournalError> {
-    let name = r.string()?;
+    let name = string(r)?;
     let size_bytes = r.u64()?;
     let cacheable = r.bool()?;
     let kind = match r.u8()? {
@@ -546,10 +497,7 @@ fn read_file_ref(r: &mut Reader<'_>) -> Result<FileRef, JournalError> {
 fn put_spec(out: &mut Vec<u8>, spec: &TaskSpec) {
     put_u64(out, spec.id.0);
     put_str(out, &spec.category);
-    put_u64(out, spec.inputs.len() as u64);
-    for f in &spec.inputs {
-        put_file_ref(out, f);
-    }
+    put_seq(out, &spec.inputs, put_file_ref);
     put_u64(out, spec.output_bytes);
     put_f64(out, spec.profile.duration_secs);
     put_f64(out, spec.profile.cores_used);
@@ -557,39 +505,24 @@ fn put_spec(out: &mut Vec<u8>, spec: &TaskSpec) {
     put_u64(out, spec.profile.peak_memory_mb);
     put_f64(out, spec.profile.mem_ramp_fraction);
     put_u64(out, spec.profile.peak_disk_mb);
-    put_u64(out, spec.deps.len() as u64);
-    for d in &spec.deps {
-        put_u64(out, d.0);
-    }
+    put_seq(out, &spec.deps, |o, d| put_u64(o, d.0));
 }
 
 fn read_spec(r: &mut Reader<'_>) -> Result<TaskSpec, JournalError> {
-    let id = TaskId(r.u64()?);
-    let category = r.string()?;
-    let mut inputs = Vec::new();
-    for _ in 0..r.u64()? {
-        inputs.push(read_file_ref(r)?);
-    }
-    let output_bytes = r.u64()?;
-    let profile = SimTaskProfile {
-        duration_secs: r.f64()?,
-        cores_used: r.f64()?,
-        base_memory_mb: r.u64()?,
-        peak_memory_mb: r.u64()?,
-        mem_ramp_fraction: r.f64()?,
-        peak_disk_mb: r.u64()?,
-    };
-    let mut deps = Vec::new();
-    for _ in 0..r.u64()? {
-        deps.push(TaskId(r.u64()?));
-    }
     Ok(TaskSpec {
-        id,
-        category,
-        inputs,
-        output_bytes,
-        profile,
-        deps,
+        id: TaskId(r.u64()?),
+        category: string(r)?,
+        inputs: r.seq(read_file_ref)?,
+        output_bytes: r.u64()?,
+        profile: SimTaskProfile {
+            duration_secs: r.f64()?,
+            cores_used: r.f64()?,
+            base_memory_mb: r.u64()?,
+            peak_memory_mb: r.u64()?,
+            mem_ramp_fraction: r.f64()?,
+            peak_disk_mb: r.u64()?,
+        },
+        deps: r.seq(|r| r.u64().map(TaskId))?,
     })
 }
 
@@ -644,13 +577,7 @@ impl Record {
                 put_u32(out, *attempt);
                 put_resources(out, alloc);
                 put_time(out, *started_at);
-                match lease_at {
-                    None => put_u8(out, 0),
-                    Some(t) => {
-                        put_u8(out, 1);
-                        put_time(out, *t);
-                    }
-                }
+                put_opt_time(out, *lease_at);
             }
             Record::Zombie { placement } => {
                 put_u8(out, 4);
@@ -728,7 +655,7 @@ impl Record {
             Record::Degraded => put_u8(out, 18),
             Record::Counter { key, amount } => {
                 put_u8(out, 19);
-                put_u8(out, key.tag());
+                put_u8(out, *key as u8);
                 put_f64(out, *amount);
             }
             Record::Stolen { task_idx, attempt } => {
@@ -764,25 +691,21 @@ impl Record {
                 task_idx: r.u64()?,
                 attempt: r.u32()?,
                 front: r.bool()?,
-                since: r.time()?,
+                since: time(r)?,
             },
             2 => Record::BackoffArm {
                 task_idx: r.u64()?,
                 attempt: r.u32()?,
-                at: r.time()?,
+                at: time(r)?,
             },
             3 => {
                 let placement = r.u64()?;
                 let worker = r.u32()?;
                 let task_idx = r.u64()?;
                 let attempt = r.u32()?;
-                let alloc = r.resources()?;
-                let started_at = r.time()?;
-                let lease_at = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.time()?),
-                    t => return Err(JournalError::BadTag("lease-at", t)),
-                };
+                let alloc = resources(r)?;
+                let started_at = time(r)?;
+                let lease_at = opt_time(r)?;
                 Record::Placed {
                     placement,
                     worker,
@@ -829,7 +752,7 @@ impl Record {
             },
             15 => Record::Quarantined {
                 worker: r.u32()?,
-                release_at: r.time()?,
+                release_at: time(r)?,
             },
             16 => Record::QuarantineLifted { worker: r.u32()? },
             17 => Record::EnvFailure { count: r.u32()? },
@@ -944,80 +867,43 @@ impl MasterImage {
 
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        put_u64(&mut out, self.pending.len() as u64);
-        for &(t, a, since) in &self.pending {
-            put_u64(&mut out, t);
-            put_u32(&mut out, a);
-            put_time(&mut out, since);
-        }
-        put_u64(&mut out, self.backoffs.len() as u64);
-        for &(t, a, at) in &self.backoffs {
-            put_u64(&mut out, t);
-            put_u32(&mut out, a);
-            put_time(&mut out, at);
-        }
-        put_u64(&mut out, self.placements.len() as u64);
-        for (&id, p) in &self.placements {
-            put_u64(&mut out, id);
-            put_u32(&mut out, p.worker);
-            put_u64(&mut out, p.task_idx);
-            put_u32(&mut out, p.attempt);
-            put_resources(&mut out, &p.alloc);
-            put_time(&mut out, p.started_at);
-            put_bool(&mut out, p.zombie);
-            match p.lease_at {
-                None => put_u8(&mut out, 0),
-                Some(t) => {
-                    put_u8(&mut out, 1);
-                    put_time(&mut out, t);
-                }
-            }
-        }
+        put_seq(&mut out, &self.pending, put_timed);
+        put_seq(&mut out, &self.backoffs, put_timed);
+        put_seq(&mut out, &self.placements, |o, (&id, p)| {
+            put_u64(o, id);
+            put_u32(o, p.worker);
+            put_u64(o, p.task_idx);
+            put_u32(o, p.attempt);
+            put_resources(o, &p.alloc);
+            put_time(o, p.started_at);
+            put_bool(o, p.zombie);
+            put_opt_time(o, p.lease_at);
+        });
         put_u64(&mut out, self.next_placement);
-        put_u64(&mut out, self.alloc_stats.len() as u64);
-        for s in &self.alloc_stats {
+        put_seq(&mut out, &self.alloc_stats, |o, s| {
             for axis in [&s.cores, &s.memory_mb, &s.disk_mb] {
-                put_u64(&mut out, axis.len() as u64);
-                for &v in axis {
-                    put_f64(&mut out, v);
-                }
+                put_seq(o, axis, |o, &v| put_f64(o, v));
             }
-            put_u64(&mut out, s.completed);
-        }
-        put_u64(&mut out, self.dep_remaining.len() as u64);
-        for &d in &self.dep_remaining {
-            put_u64(&mut out, d);
-        }
+            put_u64(o, s.completed);
+        });
+        put_seq(&mut out, &self.dep_remaining, |o, &d| put_u64(o, d));
         put_u64(&mut out, self.completed);
         put_u64(&mut out, self.abandoned);
-        put_u64(&mut out, self.results.len() as u64);
-        for tr in &self.results {
-            put_result(&mut out, tr);
-        }
+        put_seq(&mut out, &self.results, put_result);
         for set in [&self.retried, &self.infra_retried] {
-            put_u64(&mut out, set.len() as u64);
-            for &t in set {
-                put_u64(&mut out, t);
-            }
+            put_seq(&mut out, set, |o, &t| put_u64(o, t));
         }
-        put_u64(&mut out, self.infra_fail_count.len() as u64);
-        for &c in &self.infra_fail_count {
-            put_u32(&mut out, c);
+        for counts in [&self.infra_fail_count, &self.cat_streak] {
+            put_seq(&mut out, counts, |o, &c| put_u32(o, c));
         }
-        put_u64(&mut out, self.cat_streak.len() as u64);
-        for &c in &self.cat_streak {
-            put_u32(&mut out, c);
-        }
-        put_u64(&mut out, self.worker_faults.len() as u64);
-        for (&w, &c) in &self.worker_faults {
-            put_u32(&mut out, w);
-            put_u32(&mut out, c);
-        }
-        put_u64(&mut out, self.quarantined_until.len() as u64);
-        for &(w, t) in &self.quarantined_until {
-            put_u32(&mut out, w);
-            put_time(&mut out, t);
-        }
+        put_seq(&mut out, &self.worker_faults, |o, (&w, &c)| {
+            put_u32(o, w);
+            put_u32(o, c);
+        });
+        put_seq(&mut out, &self.quarantined_until, |o, &(w, t)| {
+            put_u32(o, w);
+            put_time(o, t);
+        });
         put_u32(&mut out, self.quarantines);
         put_bool(&mut out, self.degraded);
         put_u32(&mut out, self.env_failures);
@@ -1033,99 +919,63 @@ impl MasterImage {
     }
 
     pub fn decode(buf: &[u8]) -> Result<Self, JournalError> {
-        let mut r = Reader::new(buf);
-        let mut img = MasterImage::default();
-        for _ in 0..r.u64()? {
-            let t = r.u64()?;
-            let a = r.u32()?;
-            let since = r.time()?;
-            img.pending.push_back((t, a, since));
-        }
-        for _ in 0..r.u64()? {
-            let t = r.u64()?;
-            let a = r.u32()?;
-            let at = r.time()?;
-            img.backoffs.push((t, a, at));
-        }
-        for _ in 0..r.u64()? {
-            let id = r.u64()?;
-            let worker = r.u32()?;
-            let task_idx = r.u64()?;
-            let attempt = r.u32()?;
-            let alloc = r.resources()?;
-            let started_at = r.time()?;
-            let zombie = r.bool()?;
-            let lease_at = match r.u8()? {
-                0 => None,
-                1 => Some(r.time()?),
-                t => return Err(JournalError::BadTag("lease-at", t)),
-            };
-            img.placements.insert(
-                id,
-                PlacementSnap {
-                    worker,
-                    task_idx,
-                    attempt,
-                    alloc,
-                    started_at,
-                    zombie,
-                    lease_at,
-                },
-            );
-        }
-        img.next_placement = r.u64()?;
-        for _ in 0..r.u64()? {
-            let mut s = CategorySnap::default();
-            for axis in [&mut s.cores, &mut s.memory_mb, &mut s.disk_mb] {
+        type Res<T> = Result<T, JournalError>;
+        let r = &mut Reader::new(buf);
+        Ok(MasterImage {
+            pending: r.seq(timed)?.into(),
+            backoffs: r.seq(timed)?,
+            placements: {
+                // Inserted as read, like the live master's map grows.
+                let mut placements = BTreeMap::new();
                 for _ in 0..r.u64()? {
-                    axis.push(r.f64()?);
+                    let id = r.u64()?;
+                    let snap = PlacementSnap {
+                        worker: r.u32()?,
+                        task_idx: r.u64()?,
+                        attempt: r.u32()?,
+                        alloc: resources(r)?,
+                        started_at: time(r)?,
+                        zombie: r.bool()?,
+                        lease_at: opt_time(r)?,
+                    };
+                    placements.insert(id, snap);
                 }
-            }
-            s.completed = r.u64()?;
-            img.alloc_stats.push(s);
-        }
-        for _ in 0..r.u64()? {
-            img.dep_remaining.push(r.u64()?);
-        }
-        img.completed = r.u64()?;
-        img.abandoned = r.u64()?;
-        for _ in 0..r.u64()? {
-            img.results.push(read_result(&mut r)?);
-        }
-        for _ in 0..r.u64()? {
-            img.retried.push(r.u64()?);
-        }
-        for _ in 0..r.u64()? {
-            img.infra_retried.push(r.u64()?);
-        }
-        for _ in 0..r.u64()? {
-            img.infra_fail_count.push(r.u32()?);
-        }
-        for _ in 0..r.u64()? {
-            img.cat_streak.push(r.u32()?);
-        }
-        for _ in 0..r.u64()? {
-            let w = r.u32()?;
-            let c = r.u32()?;
-            img.worker_faults.insert(w, c);
-        }
-        for _ in 0..r.u64()? {
-            let w = r.u32()?;
-            let t = r.time()?;
-            img.quarantined_until.push((w, t));
-        }
-        img.quarantines = r.u32()?;
-        img.degraded = r.bool()?;
-        img.env_failures = r.u32()?;
-        img.workers_provisioned = r.u32()?;
-        img.workers_lost = r.u32()?;
-        img.tasks_lost = r.u64()?;
-        img.lease_reclaims = r.u64()?;
-        img.stage_in_failures = r.u64()?;
-        img.spurious_kills = r.u64()?;
-        img.result_msgs_lost = r.u64()?;
-        img.lost_core_secs = r.f64()?;
-        Ok(img)
+                placements
+            },
+            next_placement: r.u64()?,
+            alloc_stats: r.seq(|r| {
+                Res::Ok(CategorySnap {
+                    cores: r.seq(Reader::f64)?,
+                    memory_mb: r.seq(Reader::f64)?,
+                    disk_mb: r.seq(Reader::f64)?,
+                    completed: r.u64()?,
+                })
+            })?,
+            dep_remaining: r.seq(Reader::u64)?,
+            completed: r.u64()?,
+            abandoned: r.u64()?,
+            results: r.seq(read_result)?,
+            retried: r.seq(Reader::u64)?,
+            infra_retried: r.seq(Reader::u64)?,
+            infra_fail_count: r.seq(Reader::u32)?,
+            cat_streak: r.seq(Reader::u32)?,
+            worker_faults: r
+                .seq(|r| Res::Ok((r.u32()?, r.u32()?)))?
+                .into_iter()
+                .collect(),
+            quarantined_until: r.seq(|r| Res::Ok((r.u32()?, time(r)?)))?,
+            quarantines: r.u32()?,
+            degraded: r.bool()?,
+            env_failures: r.u32()?,
+            workers_provisioned: r.u32()?,
+            workers_lost: r.u32()?,
+            tasks_lost: r.u64()?,
+            lease_reclaims: r.u64()?,
+            stage_in_failures: r.u64()?,
+            spurious_kills: r.u64()?,
+            result_msgs_lost: r.u64()?,
+            lost_core_secs: r.f64()?,
+        })
     }
 }
 
@@ -1288,13 +1138,7 @@ pub mod bench_api {
     /// Decode a stream produced by [`encode_records`], returning the record
     /// count. Panics on malformed input.
     pub fn decode_records(buf: &[u8]) -> usize {
-        let mut r = Reader::new(buf);
-        let mut n = 0;
-        while !r.is_empty() {
-            Record::decode(&mut r).expect("bench stream decodes");
-            n += 1;
-        }
-        n
+        try_decode_records(buf).expect("bench stream decodes")
     }
 
     /// Decode an arbitrary byte stream as journal records, returning how
@@ -1628,5 +1472,21 @@ mod tests {
         let s = DurabilityConfig::journal_with_snapshots(256);
         assert_eq!(s.snapshot_every, Some(256));
         assert!(s.restart_secs > 0.0);
+    }
+
+    /// Length and FNV-1a digest of the journal's record and snapshot
+    /// encodings. Round-trip tests cannot see a format drift (both ends
+    /// drift together); this pin can.
+    #[test]
+    fn byte_format_is_pinned() {
+        let pin = |b: &[u8]| (b.len(), lfm_telemetry::codec::fnv1a(b));
+        assert_eq!(
+            pin(&bench_api::encode_records(64)),
+            (3161, 0xda166f30a06d81cd)
+        );
+        assert_eq!(
+            pin(&bench_api::encode_image(256)),
+            (16535, 0xc1d9cb71bf3754c9)
+        );
     }
 }

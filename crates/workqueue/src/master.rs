@@ -246,7 +246,7 @@ pub struct MasterConfig {
     pub shards: u32,
     pub seed: u64,
     /// Tracing/metrics sink. Defaults to the process-wide recorder (the
-    /// no-op recorder unless a runner installed one via `--trace-out`).
+    /// no-op recorder unless a runner installed one via `--trace`).
     /// Recording is strictly observational: the simulation's behaviour and
     /// its `RunReport` are identical whether this is live or
     /// [`Recorder::disabled`].

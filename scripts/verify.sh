@@ -58,6 +58,9 @@ cargo test -q --offline -p lfm-bench
 cargo test -q --offline -p lfm-integration-tests --test telemetry_tail
 cargo build --release --offline -p lfm-bench --bin bench_tail
 
+echo "==> benchmark crate (outside the workspace: API drift, unchanged lockfile)"
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo bench --no-run"
 cargo bench --no-run --offline
 
