@@ -2,11 +2,16 @@
 //! runs the same workloads under `SchedImpl::Reference` (the original
 //! rescan-everything matcher) and `SchedImpl::Indexed`, and writes
 //! `BENCH_sched.json` with tasks/sec and wall time per configuration.
+//! A second, Indexed-only section runs 12.5k–100k tasks × 256 workers with
+//! cacheable inputs and reports µs per task and its growth against the
+//! smallest row — the per-task master cost must stay flat as the pending
+//! queue deepens. The reference matcher stops at 10k: it is O(n²).
 //!
 //! Invoked by `scripts/bench_sched.sh`. Flags:
 //!
 //! * `--out <path>`   output JSON path (default `BENCH_sched.json`)
-//! * `--quick`        drop the 10k-task configs (smoke mode for CI)
+//! * `--quick`        drop the 10k-task configs and the scaling rows past
+//!   25k (smoke mode for CI)
 
 use lfm_bench::sched_bench::{bench_config, bench_tasks};
 use lfm_core::simcluster::node::NodeSpec;
@@ -28,7 +33,11 @@ fn measure(sched: SchedImpl, tasks_n: u64, workers: u32, cacheable: bool) -> f64
     let spec = NodeSpec::new(16, 64 * 1024, 128 * 1024);
     // Best of `reps` to shave scheduler noise; the big reference configs are
     // expensive enough that one timing is already stable.
-    let reps = if tasks_n >= 10_000 { 1 } else { 3 };
+    let reps = if sched == SchedImpl::Reference && tasks_n >= 10_000 {
+        1
+    } else {
+        3
+    };
     (0..reps)
         .map(|_| {
             let cfg = bench_config(sched);
@@ -79,6 +88,18 @@ fn main() {
         }
     }
 
+    let mut scaling_sizes = vec![12_500u64, 25_000];
+    if !quick {
+        scaling_sizes.extend([50_000, 100_000]);
+    }
+    let mut scaling = Vec::new();
+    for &n in &scaling_sizes {
+        eprintln!("measuring indexed scaling: {n} tasks x 256 workers (cacheable) ...");
+        let us_per_task = measure(SchedImpl::Indexed, n, 256, true) * 1e6 / n as f64;
+        eprintln!("  {us_per_task:.2} us/task");
+        scaling.push((n, us_per_task));
+    }
+
     let mut json = String::from("{\n  \"bench\": \"sched_dispatch\",\n  \"configs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let sep = if i + 1 == rows.len() { "" } else { "," };
@@ -96,6 +117,16 @@ fn main() {
             r.tasks as f64 / r.indexed_secs,
             r.reference_secs / r.indexed_secs,
             sep,
+        ));
+    }
+    json.push_str("  ],\n  \"scaling\": [\n");
+    let base_us = scaling[0].1;
+    for (i, &(n, us)) in scaling.iter().enumerate() {
+        let sep = if i + 1 == scaling.len() { "" } else { "," };
+        json.push_str(&format!(
+            "    {{\"tasks\": {n}, \"workers\": 256, \"cacheable\": true, \
+             \"us_per_task\": {us:.3}, \"growth_vs_smallest\": {:.3}}}{sep}\n",
+            us / base_us,
         ));
     }
     json.push_str("  ]\n}\n");

@@ -138,18 +138,6 @@ impl Samples {
         }
     }
 
-    /// Sorted view of the distinct values (candidate allocation sizes).
-    pub fn distinct_sorted(&mut self) -> Vec<f64> {
-        self.ensure_sorted();
-        let mut out: Vec<f64> = Vec::with_capacity(self.values.len());
-        for &v in &self.values {
-            if out.last().is_none_or(|&last| last != v) {
-                out.push(v);
-            }
-        }
-        out
-    }
-
     /// Fraction of samples ≤ x (empirical CDF).
     pub fn cdf(&mut self, x: f64) -> f64 {
         if self.values.is_empty() {
@@ -491,15 +479,6 @@ mod tests {
         assert_eq!(s.cdf(2.0), 0.5);
         assert_eq!(s.cdf(0.5), 0.0);
         assert_eq!(s.cdf(10.0), 1.0);
-    }
-
-    #[test]
-    fn distinct_sorted_dedups() {
-        let mut s = Samples::new();
-        for x in [3.0, 1.0, 3.0, 2.0, 1.0] {
-            s.record(x);
-        }
-        assert_eq!(s.distinct_sorted(), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //! packing density exactly as \[21\] describes.
 
 use lfm_monitor::report::{ResourceKind, ResourceReport};
-use lfm_simcluster::metrics::Samples;
 use lfm_simcluster::node::Resources;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Which allocation strategy a run uses.
@@ -104,17 +104,82 @@ pub struct ObservationEffects {
     pub cap_changed: bool,
 }
 
+/// An observed peak, ordered by `f64::total_cmp` so it can key a map.
+#[derive(Debug, Clone, Copy)]
+struct Peak(f64);
+
+impl PartialEq for Peak {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Peak {}
+
+impl PartialOrd for Peak {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Peak {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// One axis's observed peaks as a sorted multiset: value → count, plus the
+/// total. Recording is O(log distinct); the label walk visits each distinct
+/// value once and never sorts.
+#[derive(Debug, Default, Clone)]
+struct PeakCounts {
+    counts: BTreeMap<Peak, u64>,
+    len: u64,
+}
+
+impl PeakCounts {
+    fn record(&mut self, x: f64) {
+        assert!(x.is_finite(), "non-finite sample");
+        *self.counts.entry(Peak(x)).or_insert(0) += 1;
+        self.len += 1;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn max(&self) -> Option<f64> {
+        self.counts.last_key_value().map(|(p, _)| p.0)
+    }
+
+    /// Every sample, ascending (duplicates repeated).
+    fn expand(&self) -> Vec<f64> {
+        self.counts
+            .iter()
+            .flat_map(|(p, &n)| std::iter::repeat_n(p.0, n as usize))
+            .collect()
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `(label walks, steps they took)`, for the dispatch scaling guard.
+    pub(crate) static LABEL_SCAN: std::cell::Cell<(u64, u64)> =
+        const { std::cell::Cell::new((0, 0)) };
+}
+
 /// Per-category observed peak samples.
 #[derive(Debug, Default, Clone)]
 struct CategoryStats {
-    cores: Samples,
-    memory_mb: Samples,
-    disk_mb: Samples,
+    cores: PeakCounts,
+    memory_mb: PeakCounts,
+    disk_mb: PeakCounts,
     completed: usize,
     /// Memoized Auto label for a given worker capacity, invalidated on every
     /// new observation. The scheduler consults the label once per dispatch
-    /// examination and twice per completion (the change-notification hook);
-    /// without the memo each consultation re-sorts the whole sample set.
+    /// examination and twice per completion (the change-notification hook,
+    /// whose second consultation recomputes it): the memo makes the
+    /// examinations between completions free.
     label_memo: Option<(Resources, Option<Resources>)>,
 }
 
@@ -170,7 +235,7 @@ impl Allocator {
     /// The first-attempt decision [`decide`](Self::decide) would return,
     /// without bumping the attempt counters. The master's indexed scheduler
     /// snapshots this before and after an observation to detect label
-    /// changes (`&mut` because Auto labeling sorts its sample store).
+    /// changes (`&mut` because Auto labeling memoizes its result).
     pub fn peek_decision(&mut self, category: &str, capacity: &Resources) -> AllocationDecision {
         match &self.strategy {
             Strategy::Unmanaged => AllocationDecision::WholeWorker,
@@ -256,23 +321,15 @@ impl Allocator {
     }
 
     /// Snapshot one category's sample stores for the durability journal.
-    /// Values are exported in
-    /// canonical (sorted) order — the label is a pure function of the
-    /// sample *multiset*, and the store's physical order depends on when
-    /// lazy label sorts happened, which differs between scheduler
-    /// implementations. Canonical order keeps snapshot bytes identical
-    /// wherever the multiset is.
+    /// Values are exported in canonical (ascending) order: the label is a
+    /// pure function of the sample *multiset*, so snapshot bytes are
+    /// identical wherever the multiset is.
     pub(crate) fn snapshot_category(&self, category: &str) -> Option<CategorySnapshot> {
         let s = self.stats.get(category)?;
-        let canonical = |samples: &Samples| {
-            let mut v: Vec<f64> = samples.iter().collect();
-            v.sort_by(|a, b| a.total_cmp(b));
-            v
-        };
         Some((
-            canonical(&s.cores),
-            canonical(&s.memory_mb),
-            canonical(&s.disk_mb),
+            s.cores.expand(),
+            s.memory_mb.expand(),
+            s.disk_mb.expand(),
             s.completed,
         ))
     }
@@ -341,8 +398,8 @@ impl Allocator {
             }
         }
         let label = (|| {
-            let mem = choose_label(&mut s.memory_mb, capacity.memory_mb as f64)? * cfg.headroom;
-            let disk = choose_label(&mut s.disk_mb, capacity.disk_mb as f64)? * cfg.headroom;
+            let mem = choose_label(&s.memory_mb, capacity.memory_mb as f64)? * cfg.headroom;
+            let disk = choose_label(&s.disk_mb, capacity.disk_mb as f64)? * cfg.headroom;
             let cores = s.cores.max()?.ceil().max(1.0);
             Some(Resources::new(
                 cores as u32,
@@ -359,14 +416,20 @@ impl Allocator {
 ///
 /// Candidates are the distinct observed values. Returns the candidate
 /// minimizing `P(u≤a)·a + (1−P(u≤a))·(a + retry_cost)`, where `retry_cost`
-/// is the per-axis size of the whole-worker retry allocation.
-fn choose_label(samples: &mut Samples, retry_cost: f64) -> Option<f64> {
-    let a_max = samples.max()?;
-    let candidates = samples.distinct_sorted();
-    let mut best = a_max;
+/// is the per-axis size of the whole-worker retry allocation; ties go to
+/// the smallest candidate. One ascending walk: `P(u≤a)` is the running
+/// count over the total.
+fn choose_label(samples: &PeakCounts, retry_cost: f64) -> Option<f64> {
+    let mut best = samples.max()?;
     let mut best_cost = f64::INFINITY;
-    for a in candidates {
-        let p = samples.cdf(a);
+    let mut below = 0u64;
+    #[cfg(test)]
+    LABEL_SCAN.with(|c| c.set((c.get().0 + 1, c.get().1)));
+    for (&Peak(a), &n) in &samples.counts {
+        #[cfg(test)]
+        LABEL_SCAN.with(|c| c.set((c.get().0, c.get().1 + 1)));
+        below += n;
+        let p = below as f64 / samples.len as f64;
         let cost = p * a + (1.0 - p) * (a + retry_cost);
         if cost < best_cost {
             best_cost = cost;
@@ -554,8 +617,61 @@ mod tests {
 
     #[test]
     fn choose_label_single_sample() {
-        let mut s = Samples::new();
+        let mut s = PeakCounts::default();
         s.record(42.0);
-        assert_eq!(choose_label(&mut s, 8192.0), Some(42.0));
+        assert_eq!(choose_label(&s, 8192.0), Some(42.0));
+    }
+
+    /// The cost formula evaluated straight from a sample list: every
+    /// distinct value in ascending order, `P(u≤a)` by counting, the first
+    /// strict minimum kept.
+    fn brute_label(values: &[f64], retry_cost: f64) -> Option<f64> {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        sorted.dedup();
+        let mut best: Option<(f64, f64)> = None;
+        for &a in &sorted {
+            let p = values.iter().filter(|&&v| v <= a).count() as f64 / values.len() as f64;
+            let cost = p * a + (1.0 - p) * (a + retry_cost);
+            if best.is_none_or(|(_, bc)| cost < bc) {
+                best = Some((a, cost));
+            }
+        }
+        best.map(|(a, _)| a)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The one-walk label equals the brute-force cost minimum over
+        /// multisets drawn from a few values (many duplicates, so running
+        /// counts matter), and the snapshot expansion is the sorted
+        /// multiset. With integer values and a retry cost that is a multiple
+        /// of the sample count, costs `a + (1 − p)·retry` often tie, which
+        /// pins the first-minimum rule.
+        #[test]
+        fn choose_label_matches_brute_force_cost(
+            picks in proptest::collection::vec(0usize..6, 1..200),
+            pool in proptest::collection::vec(1u32..40, 6..7),
+            retry in 1u32..20000,
+            tie_mul in 0u32..4,
+        ) {
+            let values: Vec<f64> = picks.iter().map(|&i| pool[i] as f64).collect();
+            let retry = match tie_mul {
+                0 => retry,
+                m => m * values.len() as u32,
+            };
+            let mut counts = PeakCounts::default();
+            for &v in &values {
+                counts.record(v);
+            }
+            proptest::prop_assert_eq!(
+                choose_label(&counts, retry as f64),
+                brute_label(&values, retry as f64)
+            );
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            proptest::prop_assert_eq!(counts.expand(), sorted);
+        }
     }
 }

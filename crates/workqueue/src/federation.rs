@@ -41,6 +41,7 @@
 use crate::faults::FaultKind;
 use crate::master::{Event, Master, MasterConfig, OutMsg, RunReport};
 use crate::task::{TaskId, TaskSpec};
+use lfm_monitor::summary::JsonObject;
 use lfm_simcluster::node::NodeSpec;
 use lfm_simcluster::time::SimTime;
 use std::collections::BTreeMap;
@@ -258,66 +259,58 @@ pub struct FederationReport {
     pub shard_completed: Vec<u64>,
     /// Host wall-clock seconds spent stepping each shard's event loop.
     pub shard_wall_secs: Vec<f64>,
+    /// Host wall-clock seconds of the whole run: the root driver steps the
+    /// shards one after another, so this is what a caller waits.
+    pub driver_wall_secs: f64,
 }
 
 impl FederationReport {
-    /// Aggregate scheduler throughput: Σ over shards of (terminal tasks ÷
-    /// host wall seconds stepping that shard). Scales ≈ linearly in shard
-    /// count when per-event cost does not degrade — the bench headline.
-    pub fn aggregate_tasks_per_sec(&self) -> f64 {
+    /// End-to-end scheduler throughput: workload tasks ÷ the driver's wall
+    /// time — the bench headline.
+    pub fn tasks_per_sec(&self) -> f64 {
+        rate(self.merged.task_count as u64, self.driver_wall_secs)
+    }
+
+    /// Per shard: terminal tasks ÷ host seconds stepping that shard. A
+    /// detail, not a throughput — the shards do not run concurrently, so
+    /// these rates do not add up.
+    pub fn shard_tasks_per_sec(&self) -> Vec<f64> {
         self.shard_completed
             .iter()
             .zip(&self.shard_wall_secs)
-            .map(|(&c, &w)| if w > 0.0 { c as f64 / w } else { 0.0 })
-            .sum()
+            .map(|(&c, &w)| rate(c, w))
+            .collect()
     }
 
-    /// A hand-rolled JSON summary for the federation bench artifact.
+    /// A JSON summary for the federation bench artifact.
     pub fn summary_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"shards\": {}", self.shards));
-        s.push_str(&format!(", \"tasks\": {}", self.merged.task_count));
-        s.push_str(&format!(
-            ", \"aggregate_tasks_per_sec\": {:.3}",
-            self.aggregate_tasks_per_sec()
-        ));
-        s.push_str(&format!(
-            ", \"makespan_secs\": {:.3}",
-            self.merged.makespan_secs
-        ));
-        s.push_str(&format!(", \"steals\": {}", self.steals));
-        s.push_str(&format!(", \"stolen_tasks\": {}", self.stolen_tasks));
-        s.push_str(&format!(
-            ", \"cross_shard_releases\": {}",
-            self.cross_shard_releases
-        ));
-        s.push_str(&format!(", \"handoff_bytes\": {}", self.handoff_bytes));
-        s.push_str(&format!(
-            ", \"shard_completed\": [{}]",
-            self.shard_completed
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!(
-            ", \"shard_events\": [{}]",
-            self.shard_events
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!(
-            ", \"shard_wall_secs\": [{}]",
-            self.shard_wall_secs
-                .iter()
-                .map(|w| format!("{w:.6}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push('}');
-        s
+        fn list<T: ToString>(xs: &[T]) -> String {
+            let items: Vec<String> = xs.iter().map(T::to_string).collect();
+            format!("[{}]", items.join(","))
+        }
+        JsonObject::new()
+            .field_u64("shards", self.shards as u64)
+            .field_u64("tasks", self.merged.task_count as u64)
+            .field_f64("tasks_per_sec", self.tasks_per_sec())
+            .field_f64("driver_wall_secs", self.driver_wall_secs)
+            .field_f64("makespan_secs", self.merged.makespan_secs)
+            .field_u64("steals", self.steals)
+            .field_u64("stolen_tasks", self.stolen_tasks)
+            .field_u64("cross_shard_releases", self.cross_shard_releases)
+            .field_u64("handoff_bytes", self.handoff_bytes)
+            .field_raw("shard_completed", &list(&self.shard_completed))
+            .field_raw("shard_events", &list(&self.shard_events))
+            .field_raw("shard_wall_secs", &list(&self.shard_wall_secs))
+            .field_raw("shard_tasks_per_sec", &list(&self.shard_tasks_per_sec()))
+            .finish()
+    }
+}
+
+fn rate(count: u64, secs: f64) -> f64 {
+    if secs > 0.0 {
+        count as f64 / secs
+    } else {
+        0.0
     }
 }
 
@@ -333,6 +326,7 @@ pub fn run_federated(
 ) -> FederationReport {
     assert!(worker_count > 0, "need at least one worker");
     assert!(!tasks.is_empty(), "empty workload");
+    let started = Instant::now();
     let shards = fed.shards.clamp(1, worker_count);
     let has_master_crash = config
         .faults
@@ -497,6 +491,7 @@ pub fn run_federated(
         shard_events,
         shard_completed,
         shard_wall_secs: wall,
+        driver_wall_secs: started.elapsed().as_secs_f64(),
     }
 }
 
@@ -753,7 +748,9 @@ mod tests {
         );
         let json = fed.summary_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"shards\": 2"));
-        assert!(json.contains("aggregate_tasks_per_sec"));
+        assert!(json.contains("\"shards\":2"));
+        assert!(json.contains("\"tasks_per_sec\":"));
+        assert!(json.contains("\"shard_tasks_per_sec\":["));
+        assert!(fed.driver_wall_secs >= fed.shard_wall_secs.iter().sum::<f64>());
     }
 }

@@ -1968,13 +1968,15 @@ impl Master {
             SchedImpl::Indexed => {
                 let mut ix = IndexedSched::new(self.config.policy);
                 for w in self.workers.values() {
-                    if !w.quarantined {
-                        ix.worker_added(w.id(), w.node.available().cores);
-                    }
-                    // The file index keeps quarantined workers' caches (they
-                    // rejoin with caches intact), matching live maintenance.
+                    ix.worker_added(w.id(), w.node.available().cores);
                     for f in w.cached_files() {
                         ix.file_cached(f, w.id());
+                    }
+                    // The index keeps quarantined workers' cached-file lists
+                    // (they rejoin with caches intact), matching live
+                    // maintenance.
+                    if w.quarantined {
+                        ix.worker_offline(w.id());
                     }
                 }
                 self.sched = SchedState::Indexed(ix);
@@ -2064,9 +2066,7 @@ impl Master {
             self.free_cores -= worker.node.available().cores as u64;
         }
         if let SchedState::Indexed(ix) = &mut self.sched {
-            // For quarantined workers the capacity entry is already gone;
-            // removal is a no-op there but still tears down the file index.
-            ix.worker_removed(id, worker.node.available().cores, worker.cached_files());
+            ix.worker_removed(id);
         }
         // Only the evicted worker's own placements are touched — the index
         // replaces the old filter-scan over every live placement.
@@ -2374,10 +2374,9 @@ impl Master {
         // and filesystem models mutably alongside it.
         let mut worker = self.workers.remove(&wid).expect("picked worker exists");
         let co_resident = worker.running;
-        let old_free = worker.node.available().cores;
         assert!(worker.node.allocate(alloc), "pick_worker guaranteed fit");
         if let SchedState::Indexed(ix) = &mut self.sched {
-            ix.update_free(wid, old_free, worker.node.available().cores);
+            ix.update_free(wid, worker.node.available().cores);
         }
         self.free_cores -= alloc.cores as u64;
         worker.running += 1;
@@ -2664,7 +2663,6 @@ impl Master {
     fn free_placement(&mut self, wid: u32, task_idx: usize, allocated: Resources) {
         let cat = self.cat_of[task_idx];
         let worker = self.workers.get_mut(&wid).expect("worker exists");
-        let old_free = worker.node.available().cores;
         worker.node.free(allocated);
         let avail = worker.node.available();
         let quarantined = worker.quarantined;
@@ -2676,7 +2674,7 @@ impl Master {
         self.running_by_cat[cat as usize] -= 1;
         if let SchedState::Indexed(ix) = &mut self.sched {
             if !quarantined {
-                ix.update_free(wid, old_free, avail.cores);
+                ix.update_free(wid, avail.cores);
             }
             // The category's running count fell: a slow-start verdict for
             // its parked first attempts is stale.
@@ -2794,7 +2792,7 @@ impl Master {
             self.quarantines += 1;
             self.free_cores -= avail.cores as u64;
             if let SchedState::Indexed(ix) = &mut self.sched {
-                ix.worker_offline(wid, avail.cores);
+                ix.worker_offline(wid);
             }
             self.config
                 .telemetry
@@ -3859,6 +3857,53 @@ mod tests {
             scanned, report.tasks_lost,
             "evict_worker examined placements on other workers"
         );
+    }
+
+    /// The dispatch-stress shape of `lfm_bench::sched_bench::bench_tasks(n,
+    /// true)`: 1-core tasks in four categories sharing an environment pack
+    /// and a calibration file.
+    fn dispatch_tasks(n: u64) -> Vec<TaskSpec> {
+        let env = FileRef::environment("bench-env", 100 << 20, 300 << 20, 2000, 400);
+        let calib = FileRef::shared_data("bench-calib", 4 << 20);
+        (0..n)
+            .map(|i| {
+                TaskSpec::new(
+                    TaskId(i),
+                    format!("cat{}", i % 4),
+                    vec![
+                        FileRef::data(format!("in-{i}"), 64 << 10),
+                        env.clone(),
+                        calib.clone(),
+                    ],
+                    1 << 20,
+                    SimTaskProfile::new(30.0 + (i % 11) as f64, 1.0, 300 + 50 * (i % 4), 200),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dispatch_scan_cost_is_flat_in_pool_and_samples() {
+        // Once every worker caches the shared inputs, a placement probe must
+        // not walk the holder sets, and an Auto label recomputation must not
+        // walk the sample history: both stay O(1) entries per call on this
+        // workload (an O(workers) walk would visit ~256 per examination).
+        crate::sched::PICK_SCAN.with(|c| c.set((0, 0)));
+        crate::allocate::LABEL_SCAN.with(|c| c.set((0, 0)));
+        let cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default())).with_seed(7);
+        let spec = NodeSpec::new(16, 64 * 1024, 128 * 1024);
+        let report = run_workload(&cfg, dispatch_tasks(4_000), 256, spec);
+        assert_eq!(report.abandoned_tasks, 0);
+        let (picks, visited) = crate::sched::PICK_SCAN.with(|c| c.get());
+        let (labels, walked) = crate::allocate::LABEL_SCAN.with(|c| c.get());
+        assert!(
+            picks >= 4_000 && labels >= 4_000,
+            "{picks} picks, {labels} labels"
+        );
+        let per_pick = visited as f64 / picks as f64;
+        let per_label = walked as f64 / labels as f64;
+        assert!(per_pick <= 3.0, "{per_pick:.2} index entries per pick");
+        assert!(per_label <= 3.0, "{per_label:.2} steps per label walk");
     }
 
     /// Distinct successful task ids; asserts no task completed twice.

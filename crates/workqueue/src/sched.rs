@@ -20,9 +20,13 @@
 //! * **Capacity index** — workers ordered by free cores, so the
 //!   most-free-cores preference is a reverse scan with early exit instead
 //!   of a full-pool sweep.
-//! * **File index** — inverted cache map (file name → workers holding it),
-//!   so the cached-inputs preference intersects candidate sets instead of
-//!   probing every worker's cache for every input.
+//! * **File index** — inverted cache map (file → holders), each holder set
+//!   ordered by the same `(free cores, Reverse(id))` key as the capacity
+//!   index. The cached-inputs preference scans the smallest set most-free
+//!   first, probes the others by key, and stops at the first fit or once
+//!   free cores drop below the request — O(log workers) per examination
+//!   instead of a walk over every holder. Quarantined workers leave every
+//!   set while offline, so the scan never meets one.
 //!
 //! Exactness: see `DESIGN.md` §Scheduler for the argument that every skipped
 //! examination would have failed in the reference matcher, and that failed
@@ -121,12 +125,39 @@ pub(crate) struct IndexedSched {
     front_seq: i64,
     /// `push_back` seqs: start at 0 and increase.
     back_seq: i64,
-    /// (free cores, Reverse(worker id)) for every live worker. Reverse
-    /// iteration yields most-free-first with lowest-id tie-break — the
-    /// reference `pick_worker` preference.
-    cap_index: BTreeSet<(u32, Reverse<u32>)>,
-    /// file name → workers with it cached (mirrors `Worker::insert_cached`).
-    file_index: BTreeMap<String, BTreeSet<u32>>,
+    /// Every online worker's [`CapKey`]. Reverse iteration yields
+    /// most-free-first with lowest-id tie-break — the reference
+    /// `pick_worker` preference.
+    cap_index: BTreeSet<CapKey>,
+    /// file name → id into `holders` (mirrors `Worker::insert_cached`).
+    file_ids: BTreeMap<String, usize>,
+    /// Per file id: the online workers caching it, keyed like `cap_index`.
+    holders: Vec<BTreeSet<CapKey>>,
+    /// The index's view of every live worker, online or quarantined.
+    workers: BTreeMap<u32, IndexedWorker>,
+}
+
+/// A worker's position in the capacity-ordered sets: `(free cores,
+/// Reverse(worker id))`.
+type CapKey = (u32, Reverse<u32>);
+
+/// What the index tracks per worker to keep its keys in step.
+#[derive(Debug)]
+struct IndexedWorker {
+    /// Free cores as last reported (the key's first component).
+    free: u32,
+    /// False while quarantined: the worker is in no capacity-ordered set.
+    online: bool,
+    /// Ids (into `holders`) of every file the worker caches.
+    files: Vec<usize>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `(pick_worker calls, index entries they visited)` across the holder
+    /// sets and the capacity index, for the dispatch scaling guard.
+    pub(crate) static PICK_SCAN: std::cell::Cell<(u64, u64)> =
+        const { std::cell::Cell::new((0, 0)) };
 }
 
 impl IndexedSched {
@@ -140,7 +171,9 @@ impl IndexedSched {
             front_seq: -1,
             back_seq: 0,
             cap_index: BTreeSet::new(),
-            file_index: BTreeMap::new(),
+            file_ids: BTreeMap::new(),
+            holders: Vec::new(),
+            workers: BTreeMap::new(),
         }
     }
 
@@ -296,51 +329,91 @@ impl IndexedSched {
     // ---- worker capacity / file-cache indexes ----
 
     pub fn worker_added(&mut self, id: u32, free_cores: u32) {
+        let w = IndexedWorker {
+            free: free_cores,
+            online: true,
+            files: Vec::new(),
+        };
+        assert!(
+            self.workers.insert(id, w).is_none(),
+            "worker {id} added twice"
+        );
         self.cap_index.insert((free_cores, Reverse(id)));
     }
 
-    pub fn worker_removed<'a>(
-        &mut self,
-        id: u32,
-        free_cores: u32,
-        cached_files: impl Iterator<Item = &'a str>,
-    ) {
-        self.cap_index.remove(&(free_cores, Reverse(id)));
-        for f in cached_files {
-            if let Some(set) = self.file_index.get_mut(f) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.file_index.remove(f);
-                }
+    /// Insert (`link`) or remove an online worker's key in the capacity
+    /// index and in the holder set of every file it caches.
+    fn relink(&mut self, id: u32, link: bool) {
+        let w = &self.workers[&id];
+        let key = (w.free, Reverse(id));
+        let toggle = |set: &mut BTreeSet<CapKey>| {
+            if link {
+                set.insert(key);
+            } else {
+                set.remove(&key);
             }
+        };
+        toggle(&mut self.cap_index);
+        for &f in &w.files {
+            toggle(&mut self.holders[f]);
         }
     }
 
-    /// Take a worker out of the capacity index without tearing down its
-    /// file index (quarantine: the worker is alive, its cache intact, but
-    /// it must not receive placements).
-    pub fn worker_offline(&mut self, id: u32, free_cores: u32) {
-        self.cap_index.remove(&(free_cores, Reverse(id)));
+    /// The worker left the pool: drop it from every index.
+    pub fn worker_removed(&mut self, id: u32) {
+        if self.workers[&id].online {
+            self.relink(id, false);
+        }
+        self.workers.remove(&id);
     }
 
-    /// Put a quarantined worker back into the capacity index on release.
+    /// Take a worker out of every capacity-ordered set while keeping its
+    /// cached-file list (quarantine: the worker is alive, its cache intact,
+    /// but it must not receive placements).
+    pub fn worker_offline(&mut self, id: u32) {
+        if self.workers[&id].online {
+            self.relink(id, false);
+            self.workers.get_mut(&id).expect("indexed worker").online = false;
+        }
+    }
+
+    /// Put a quarantined worker back, with the free cores it has now.
     pub fn worker_online(&mut self, id: u32, free_cores: u32) {
-        self.cap_index.insert((free_cores, Reverse(id)));
+        let w = self.workers.get_mut(&id).expect("indexed worker");
+        assert!(!w.online, "worker {id} already online");
+        w.free = free_cores;
+        w.online = true;
+        self.relink(id, true);
     }
 
-    pub fn update_free(&mut self, id: u32, old_free: u32, new_free: u32) {
-        if old_free != new_free {
-            self.cap_index.remove(&(old_free, Reverse(id)));
-            self.cap_index.insert((new_free, Reverse(id)));
+    /// An online worker's free cores changed: move its key in the capacity
+    /// index and in the holder set of each file it caches.
+    pub fn update_free(&mut self, id: u32, new_free: u32) {
+        let w = &self.workers[&id];
+        assert!(w.online, "capacity update on offline worker {id}");
+        if w.free != new_free {
+            self.relink(id, false);
+            self.workers.get_mut(&id).expect("indexed worker").free = new_free;
+            self.relink(id, true);
         }
     }
 
     /// `file` newly entered `id`'s cache.
     pub fn file_cached(&mut self, file: &str, id: u32) {
-        self.file_index
-            .entry(file.to_string())
-            .or_default()
-            .insert(id);
+        let f = match self.file_ids.get(file) {
+            Some(&f) => f,
+            None => {
+                self.holders.push(BTreeSet::new());
+                self.file_ids
+                    .insert(file.to_string(), self.holders.len() - 1);
+                self.holders.len() - 1
+            }
+        };
+        let w = self.workers.get_mut(&id).expect("indexed worker");
+        w.files.push(f);
+        if w.online {
+            self.holders[f].insert((w.free, Reverse(id)));
+        }
     }
 
     /// Give up to `max` first-attempt pending items from the *back* of the
@@ -397,59 +470,66 @@ impl IndexedSched {
         task: &TaskSpec,
         alloc: &Resources,
     ) -> Option<u32> {
-        // Cached-preference path: intersect the holders of every cacheable
-        // input (iterate the smallest set, probe the rest), then take the
-        // most-free fitting worker among them.
-        let mut holder_sets: Vec<&BTreeSet<u32>> = Vec::new();
-        let mut cacheable = false;
-        for f in task.inputs.iter().filter(|f| f.cacheable) {
-            cacheable = true;
-            match self.file_index.get(&f.name) {
-                Some(set) => holder_sets.push(set),
-                // Nobody holds this file: the intersection is empty.
-                None => {
-                    holder_sets.clear();
-                    break;
-                }
-            }
-        }
-        if cacheable && !holder_sets.is_empty() {
-            holder_sets.sort_by_key(|s| s.len());
-            let (smallest, rest) = holder_sets.split_first().expect("non-empty");
-            let mut best: Option<(u32, u32)> = None; // (free, id)
-            for &id in smallest.iter() {
-                if !rest.iter().all(|s| s.contains(&id)) {
-                    continue;
-                }
-                let w = &workers[&id];
-                if w.quarantined || !w.node.can_fit(alloc) {
-                    continue;
-                }
-                let free = w.node.available().cores;
-                // Ascending-id iteration: replace only on strictly more
-                // free cores, keeping the lowest id among ties.
-                if best.is_none_or(|(bf, _)| free > bf) {
-                    best = Some((free, id));
-                }
-            }
-            if let Some((_, id)) = best {
-                return Some(id);
-            }
-        }
-        // No cacheable inputs (every worker counts as "cached") or no cached
-        // worker fits: most free cores wins. The index iterates free-cores
-        // descending with ascending-id tie-break; the first full fit wins,
-        // and once free cores drop below the request nothing later can fit.
-        for &(free, Reverse(id)) in self.cap_index.iter().rev() {
-            if free < alloc.cores {
-                break;
-            }
-            if workers[&id].node.can_fit(alloc) {
-                return Some(id);
-            }
-        }
-        None
+        #[cfg(test)]
+        PICK_SCAN.with(|c| c.set((c.get().0 + 1, c.get().1)));
+        // Cached-preference path, then (no cacheable inputs, so every worker
+        // counts as "cached", or no cached worker fits) most free cores.
+        self.pick_cached(workers, task, alloc).or_else(|| {
+            first_fit(
+                workers,
+                alloc,
+                self.cap_index.iter().rev().map(|&key| (key, true)),
+            )
+        })
     }
+
+    /// The most-free, lowest-id fitting worker holding every cacheable input
+    /// of `task`: walk the smallest holder set in descending key order and
+    /// probe the others for the same key. Holder sets only contain online
+    /// workers, so the first full fit is the reference's cached winner.
+    fn pick_cached(
+        &self,
+        workers: &BTreeMap<u32, Worker>,
+        task: &TaskSpec,
+        alloc: &Resources,
+    ) -> Option<u32> {
+        let mut sets: Vec<&BTreeSet<CapKey>> = Vec::new();
+        for f in task.inputs.iter().filter(|f| f.cacheable) {
+            // A file nobody holds empties the intersection.
+            sets.push(&self.holders[*self.file_ids.get(&f.name)?]);
+        }
+        sets.sort_by_key(|s| s.len());
+        let (smallest, rest) = sets.split_first()?;
+        first_fit(
+            workers,
+            alloc,
+            smallest
+                .iter()
+                .rev()
+                .map(|key| (*key, rest.iter().all(|s| s.contains(key)))),
+        )
+    }
+}
+
+/// The first worker in `candidates` (descending [`CapKey`] order, each
+/// flagged with whether it is eligible) that fits `alloc`. Stops once free
+/// cores drop below the request: no later candidate can fit.
+fn first_fit(
+    workers: &BTreeMap<u32, Worker>,
+    alloc: &Resources,
+    candidates: impl Iterator<Item = (CapKey, bool)>,
+) -> Option<u32> {
+    for ((free, Reverse(id)), eligible) in candidates {
+        #[cfg(test)]
+        PICK_SCAN.with(|c| c.set((c.get().0, c.get().1 + 1)));
+        if free < alloc.cores {
+            break;
+        }
+        if eligible && workers[&id].node.can_fit(alloc) {
+            return Some(id);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -573,7 +653,7 @@ mod tests {
             .unwrap()
             .node
             .allocate(Resources::new(4, 1, 1)));
-        ix.update_free(2, 8, 4);
+        ix.update_free(2, 4);
         let t = task(0, 1, vec![env.clone()]);
         let alloc = Resources::new(1, 100, 100);
         // Cached worker wins despite fewer free cores.
@@ -587,7 +667,7 @@ mod tests {
             .unwrap()
             .node
             .allocate(Resources::new(4, 1, 1)));
-        ix.update_free(2, 4, 0);
+        ix.update_free(2, 0);
         assert_eq!(ix.pick_worker(&workers, &t, &alloc), Some(0));
     }
 
@@ -629,7 +709,7 @@ mod tests {
         let env = FileRef::environment("env", 100, 600, 10, 1);
         workers.get_mut(&1).unwrap().insert_cached(&env);
         ix.file_cached("env", 2);
-        ix.worker_removed(2, 8, std::iter::once("env"));
+        ix.worker_removed(2);
         let t = task(0, 1, vec![env]);
         // Worker 2 gone from both indexes: the env holder set is empty, and
         // capacity falls back to worker 1.
@@ -637,5 +717,131 @@ mod tests {
             ix.pick_worker(&workers, &t, &Resources::new(1, 1, 1)),
             Some(1)
         );
+    }
+
+    /// `Master::pick_worker`'s rule as a full scan: skip quarantined and
+    /// non-fitting workers, then maximize (all cacheable inputs cached, free
+    /// cores), ascending ids keeping the first of equals.
+    fn brute_pick(
+        workers: &BTreeMap<u32, Worker>,
+        task: &TaskSpec,
+        alloc: &Resources,
+    ) -> Option<u32> {
+        let mut best: Option<(bool, u32, u32)> = None;
+        for w in workers.values() {
+            if w.quarantined || !w.node.can_fit(alloc) {
+                continue;
+            }
+            let cached = task
+                .inputs
+                .iter()
+                .filter(|f| f.cacheable)
+                .all(|f| w.has_cached(&f.name));
+            let free = w.node.available().cores;
+            if best.is_none_or(|(bc, bf, _)| (bc, bf) < (cached, free)) {
+                best = Some((cached, free, w.id()));
+            }
+        }
+        best.map(|(_, _, id)| id)
+    }
+
+    /// Cacheable file `i` of the random pools (two environments, two data).
+    fn pool_file(i: u32) -> FileRef {
+        match i % 4 {
+            0 => FileRef::environment("env-a", 100, 600, 10, 1),
+            1 => FileRef::environment("env-b", 100, 600, 10, 1),
+            2 => FileRef::shared_data("calib", 10),
+            _ => FileRef::shared_data("lookup", 10),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The indexed pick equals the reference full scan after any
+        /// sequence of arrivals, allocations, frees, cache insertions,
+        /// quarantines, releases and removals — with memory-bound and
+        /// core-bound requests and tasks carrying 0–3 cacheable inputs.
+        #[test]
+        fn pick_worker_matches_brute_force_scan(
+            ops in proptest::collection::vec((0u8..8, 0u32..16, 0u32..9, 0u64..9), 1..120)
+        ) {
+            let spec = NodeSpec::new(8, 8192, 16384);
+            let mut workers: BTreeMap<u32, Worker> = BTreeMap::new();
+            let mut held: BTreeMap<u32, Vec<Resources>> = BTreeMap::new();
+            let mut ix = IndexedSched::new(SchedulePolicy::Fifo);
+            let mut next_id = 0u32;
+            for (op, a, b, c) in ops {
+                // Operations address an existing worker by rank.
+                let target = (!workers.is_empty())
+                    .then(|| *workers.keys().nth(a as usize % workers.len()).unwrap());
+                match (op, target) {
+                    (0, _) | (_, None) => {
+                        workers.insert(next_id, Worker::new(next_id, spec));
+                        ix.worker_added(next_id, 8);
+                        next_id += 1;
+                    }
+                    (1 | 2, Some(id)) => {
+                        // Allocate a core- or memory-heavy slice.
+                        let r = Resources::new(b.max(1), c * 1000 + 1, 100);
+                        let w = workers.get_mut(&id).unwrap();
+                        if w.node.allocate(r) {
+                            held.entry(id).or_default().push(r);
+                            if !w.quarantined {
+                                ix.update_free(id, w.node.available().cores);
+                            }
+                        }
+                    }
+                    (3, Some(id)) => {
+                        let w = workers.get_mut(&id).unwrap();
+                        if let Some(r) = held.get_mut(&id).and_then(Vec::pop) {
+                            w.node.free(r);
+                            if !w.quarantined {
+                                ix.update_free(id, w.node.available().cores);
+                            }
+                        }
+                    }
+                    (4, Some(id)) => {
+                        let f = pool_file(b);
+                        if workers.get_mut(&id).unwrap().insert_cached(&f) {
+                            ix.file_cached(&f.name, id);
+                        }
+                    }
+                    (5, Some(id)) => {
+                        let w = workers.get_mut(&id).unwrap();
+                        if w.quarantined {
+                            w.quarantined = false;
+                            ix.worker_online(id, w.node.available().cores);
+                        } else {
+                            w.quarantined = true;
+                            ix.worker_offline(id);
+                        }
+                    }
+                    (6, Some(id)) => {
+                        workers.remove(&id);
+                        held.remove(&id);
+                        ix.worker_removed(id);
+                    }
+                    (_, Some(_)) => {}
+                }
+                // Probe with a task over up to three distinct cacheable
+                // inputs (bits of `a`) plus per-task data.
+                let mut inputs = vec![FileRef::data("in", 1)];
+                inputs.extend((0..4).filter(|i| a & (1 << i) != 0).take(3).map(pool_file));
+                let t = task(0, 1, inputs);
+                for alloc in [
+                    Resources::new(b.max(1), 100, 100),
+                    Resources::new(1, c * 1000 + 1, 100),
+                    Resources::new(8, 8192, 16384),
+                ] {
+                    proptest::prop_assert_eq!(
+                        ix.pick_worker(&workers, &t, &alloc),
+                        brute_pick(&workers, &t, &alloc),
+                        "alloc {:?}",
+                        alloc
+                    );
+                }
+            }
+        }
     }
 }

@@ -72,8 +72,8 @@ impl Worker {
         newly_cached
     }
 
-    /// Names of every cached file (for index teardown when the worker is
-    /// evicted).
+    /// Names of every cached file (to rebuild the scheduler's file index
+    /// after a recovery).
     pub fn cached_files(&self) -> impl Iterator<Item = &str> {
         self.cache.iter().map(String::as_str)
     }

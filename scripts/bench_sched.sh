@@ -2,7 +2,9 @@
 # Dispatch-throughput before/after for the indexed scheduler: runs the same
 # workloads under the reference matcher and the indexed scheduler and writes
 # BENCH_sched.json at the repo root (tasks/sec + makespan wall time per
-# config). Pass --quick to skip the 10k-task configs.
+# config), plus indexed-only rows at 12.5k-100k tasks x 256 workers with
+# microseconds per task and growth against the smallest row. Pass --quick
+# to skip the 10k-task configs and the scaling rows past 25k.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

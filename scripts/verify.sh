@@ -17,6 +17,13 @@ cargo test -q --offline
 echo "==> scheduler seed-equivalence suite"
 cargo test -q --offline -p lfm-integration-tests --test sched_equivalence
 
+echo "==> dispatch scaling (exact indexed pick and label, flat scan counters)"
+cargo test -q --offline -p lfm-workqueue --lib -- pick_worker_matches_brute_force_scan \
+    choose_label_matches_brute_force_cost dispatch_scan_cost_is_flat
+sched_json="$(mktemp)"
+cargo run -q --release --offline -p lfm-bench --bin bench_sched -- --quick --out "$sched_json"
+rm -f "$sched_json"
+
 echo "==> chaos suite (fault injection + resilience invariants)"
 cargo test -q --offline -p lfm-workqueue chaos
 cargo test -q --offline -p lfm-integration-tests --test sched_equivalence fault_plan
