@@ -6,14 +6,41 @@
 //! tree, enforces limits by killing the tree, and emits a
 //! [`ResourceReport`] at the end. A callback can observe every poll —
 //! the decorator's `callback` argument.
+//!
+//! Polling is how the monitor *measures*; it is not how it notices the end.
+//! A small watcher thread blocks in `waitid(2)` with `WNOWAIT` and wakes the
+//! poller the moment the root exits, so a call returns when its process
+//! does, not at the next poll. The poller stays the only reaper: it takes
+//! the final sample while the root is still a zombie, then reaps it.
 
 use crate::events::ProcessTracker;
 use crate::limits::ResourceLimits;
 use crate::procfs;
 use crate::report::{MonitorOutcome, ResourceReport, UsageSnapshot};
+use std::ffi::c_int;
 use std::io;
-use std::process::{Child, Command};
+use std::process::{Child, Command, ExitStatus};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
+
+/// `siginfo_t`: 128 bytes on every Linux target.
+type SigInfo = [u64; 16];
+
+// From the C library std already links; the vendored set has no libc crate.
+extern "C" {
+    fn waitid(idtype: c_int, id: u32, infop: *mut SigInfo, options: c_int) -> c_int;
+    fn kill(pid: i32, sig: c_int) -> c_int;
+}
+
+// Linux values (identical on every architecture).
+const P_PID: c_int = 1;
+const WEXITED: c_int = 4;
+const WNOWAIT: c_int = 0x0100_0000;
+const SIGKILL: c_int = 9;
+
+/// Stack of the exit watcher: it only calls `waitid` and sends a unit.
+const WATCHER_STACK: usize = 32 * 1024;
 
 /// Per-poll observer: receives each snapshot as it is taken.
 pub type PollCallback<'a> = dyn FnMut(&UsageSnapshot) + 'a;
@@ -72,49 +99,22 @@ impl<'a> Lfm<'a> {
     }
 
     /// Run `cmd` under the monitor. Blocks until the process tree finishes
-    /// or violates a limit.
+    /// or violates a limit; returns as soon as the root process exits.
     pub fn run(mut self, cmd: &mut Command) -> io::Result<MonitorOutcome> {
         let start = Instant::now();
-        let mut child = cmd.spawn()?;
-        let root = child.id();
+        let mut root = WatchedChild::spawn(cmd)?;
+        let pid = root.child.id();
         let mut tracker = ProcessTracker::new();
         let mut report = ResourceReport::default();
         let mut prev: Option<UsageSnapshot> = None;
         let mut monitor_cpu = 0.0f64;
 
         loop {
-            // Did the root exit?
-            if let Some(status) = child.try_wait()? {
-                // One final poll so very short tails are still accounted.
-                if let Some(mut snap) = sample_tree(root, &mut tracker, start) {
-                    snap.disk_mb = snap.disk_mb.max(self.scratch_mb());
-                    report.absorb(&snap, prev.as_ref());
-                    if let Some(cb) = self.callback.as_mut() {
-                        cb(&snap);
-                    }
-                }
-                report.wall_secs = start.elapsed().as_secs_f64();
-                report.monitor_overhead_secs = monitor_cpu;
-                let code = status.code().unwrap_or(-1);
-                return Ok(if code == 0 {
-                    MonitorOutcome::Completed(report)
-                } else {
-                    MonitorOutcome::Failed {
-                        exit_code: code,
-                        report,
-                    }
-                });
-            }
-
             let poll_started = Instant::now();
-            if let Some(mut snap) = sample_tree(root, &mut tracker, start) {
-                snap.disk_mb = snap.disk_mb.max(self.scratch_mb());
-                report.absorb(&snap, prev.as_ref());
-                if let Some(cb) = self.callback.as_mut() {
-                    cb(&snap);
-                }
+            if let Some(snap) = self.poll(pid, &mut tracker, start, &mut report, prev.as_ref()) {
                 if let Some(kind) = self.limits.check(&snap, prev.as_ref()) {
-                    kill_tree(&mut child, &tracker);
+                    kill_tree(&mut root.child, &tracker);
+                    let _ = root.reap();
                     report.wall_secs = start.elapsed().as_secs_f64();
                     report.monitor_overhead_secs = monitor_cpu;
                     return Ok(MonitorOutcome::LimitExceeded { kind, report });
@@ -122,15 +122,134 @@ impl<'a> Lfm<'a> {
                 prev = Some(snap);
             }
             monitor_cpu += poll_started.elapsed().as_secs_f64();
-            std::thread::sleep(self.poll_interval);
+            if root.exited_within(self.poll_interval) {
+                break;
+            }
         }
+
+        // The root is a zombie until reaped, and its `/proc` entry still
+        // holds its final CPU time: one last poll accounts short tails.
+        let poll_started = Instant::now();
+        self.poll(pid, &mut tracker, start, &mut report, prev.as_ref());
+        monitor_cpu += poll_started.elapsed().as_secs_f64();
+        let status = root.reap()?;
+        report.wall_secs = start.elapsed().as_secs_f64();
+        report.monitor_overhead_secs = monitor_cpu;
+        let code = status.code().unwrap_or(-1);
+        Ok(if code == 0 {
+            MonitorOutcome::Completed(report)
+        } else {
+            MonitorOutcome::Failed {
+                exit_code: code,
+                report,
+            }
+        })
     }
 }
 
 impl Lfm<'_> {
+    /// Sample the tree under `root`, fold the snapshot into `report` and
+    /// show it to the callback. `None` once the tree is gone.
+    fn poll(
+        &mut self,
+        root: u32,
+        tracker: &mut ProcessTracker,
+        start: Instant,
+        report: &mut ResourceReport,
+        prev: Option<&UsageSnapshot>,
+    ) -> Option<UsageSnapshot> {
+        let mut snap = sample_tree(root, tracker, start)?;
+        snap.disk_mb = snap.disk_mb.max(self.scratch_mb());
+        report.absorb(&snap, prev);
+        if let Some(cb) = self.callback.as_mut() {
+            cb(&snap);
+        }
+        Some(snap)
+    }
+
     /// Current scratch-directory footprint in MB (0 when unset/missing).
     fn scratch_mb(&self) -> u64 {
         self.scratch_dir.as_deref().map(dir_size_bytes).unwrap_or(0) / (1024 * 1024)
+    }
+}
+
+/// The monitored root process and the thread that reports its exit.
+///
+/// The watcher never reaps; [`WatchedChild::reap`] does, and only after the
+/// watcher has finished. So the root's PID cannot be reused while the
+/// watcher waits on it or while the poller signals it.
+struct WatchedChild {
+    child: Child,
+    exited: Receiver<()>,
+    watcher: Option<JoinHandle<()>>,
+}
+
+impl WatchedChild {
+    fn spawn(cmd: &mut Command) -> io::Result<Self> {
+        let mut child = cmd.spawn()?;
+        let pid = child.id();
+        let (tx, exited) = mpsc::sync_channel(1);
+        let watcher = thread::Builder::new()
+            .stack_size(WATCHER_STACK)
+            .spawn(move || {
+                wait_for_exit(pid);
+                // Cannot fail: the receiver is dropped only after the join.
+                let _ = tx.send(());
+            });
+        match watcher {
+            Ok(watcher) => Ok(WatchedChild {
+                child,
+                exited,
+                watcher: Some(watcher),
+            }),
+            Err(e) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                Err(e)
+            }
+        }
+    }
+
+    /// Wait up to `timeout` for the root to exit; true once it has.
+    fn exited_within(&self, timeout: Duration) -> bool {
+        !matches!(
+            self.exited.recv_timeout(timeout),
+            Err(RecvTimeoutError::Timeout)
+        )
+    }
+
+    /// Join the watcher (it returns once the root has exited), then reap.
+    fn reap(&mut self) -> io::Result<ExitStatus> {
+        let joined = self.watcher.take().map_or(Ok(()), JoinHandle::join);
+        let status = self.child.wait();
+        joined.map_err(|_| io::Error::other("exit watcher panicked"))?;
+        status
+    }
+}
+
+impl Drop for WatchedChild {
+    /// A run that unwinds (a panicking callback) still leaves no process or
+    /// thread behind.
+    fn drop(&mut self) {
+        if self.watcher.is_some() {
+            let _ = self.child.kill();
+            let _ = self.reap();
+        }
+    }
+}
+
+/// Block until `pid`, a child of this process, has exited, leaving it
+/// waitable.
+fn wait_for_exit(pid: u32) {
+    let mut info: SigInfo = [0; 16];
+    loop {
+        // SAFETY: `info` is a live, writable buffer of siginfo_t's size for
+        // the whole call. With WNOWAIT the kernel only reports the exit, so
+        // the PID stays owned by the `Child` that reaps it.
+        let rc = unsafe { waitid(P_PID, pid, &mut info, WEXITED | WNOWAIT) };
+        if rc == 0 || io::Error::last_os_error().kind() != io::ErrorKind::Interrupted {
+            return;
+        }
     }
 }
 
@@ -184,20 +303,23 @@ fn sample_tree(root: u32, tracker: &mut ProcessTracker, start: Instant) -> Optio
 }
 
 /// Kill the root and every tracked descendant. The root dies via
-/// `Child::kill`; descendants are signalled through the `kill(1)` utility
-/// (process-group semantics without a libc dependency).
+/// `Child::kill`; descendants get SIGKILL through `kill(2)` (without a libc
+/// *crate*). The caller reaps the root.
 fn kill_tree(child: &mut Child, tracker: &ProcessTracker) {
     let root = child.id();
     let _ = child.kill();
-    let descendants: Vec<String> = tracker
-        .live()
-        .filter(|&pid| pid != root)
-        .map(|pid| pid.to_string())
-        .collect();
-    if !descendants.is_empty() {
-        let _ = Command::new("kill").arg("-9").args(&descendants).status();
+    for pid in tracker.live().filter(|&pid| pid != root) {
+        // A PID outside 1..=i32::MAX would address a process group or every
+        // process; `/proc` never lists one.
+        let Ok(pid @ 1..) = i32::try_from(pid) else {
+            continue;
+        };
+        // SAFETY: kill takes no pointers; `pid` is positive, so it names
+        // exactly one process.
+        unsafe {
+            kill(pid, SIGKILL);
+        }
     }
-    let _ = child.wait();
 }
 
 /// Run an in-process closure with result-queue semantics: the function runs
@@ -307,6 +429,25 @@ mod tests {
                 }
                 other => panic!("expected LimitExceeded, got {other:?}"),
             }
+        }
+
+        #[test]
+        fn panicking_callback_kills_and_reaps_the_root() {
+            // Unwinding out of `run` must kill the root rather than wait
+            // 30 s for it: the watcher is joined only after the kill.
+            let started = Instant::now();
+            let unwound = std::panic::catch_unwind(|| {
+                let mut cmd = Command::new("sleep");
+                cmd.arg("30");
+                Lfm::new()
+                    .with_callback(|_snap| panic!("callback exploded"))
+                    .run(&mut cmd)
+            });
+            assert!(unwound.is_err());
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "root outlived the unwound run"
+            );
         }
 
         #[test]

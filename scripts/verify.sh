@@ -65,6 +65,11 @@ cargo test -q --offline -p lfm-bench
 cargo test -q --offline -p lfm-integration-tests --test telemetry_tail
 cargo build --release --offline -p lfm-bench --bin bench_tail
 
+echo "==> monitor suite (real /proc LFM: exit detection, limits, accounting)"
+cargo test -q --offline -p lfm-monitor
+cargo test -q --offline -p lfm-integration-tests --test monitor_real
+cargo test -q --offline -p lfm-integration-tests --test monitor_threads
+
 echo "==> benchmark crate (outside the workspace: API drift, unchanged lockfile)"
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 

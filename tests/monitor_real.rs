@@ -7,6 +7,7 @@
 
 use lfm_core::prelude::*;
 use std::process::Command;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 #[test]
@@ -113,4 +114,62 @@ fn inline_monitor_matches_queue_semantics() {
     });
     assert_eq!(result.unwrap(), 499999500000);
     assert!(report.wall_secs > 0.0);
+}
+
+#[test]
+fn busy_loop_shorter_than_one_poll_is_accounted() {
+    // ~70 ms of shell arithmetic ends before the default 250 ms poll; the
+    // monitor samples the exited root before reaping it, so its CPU counts.
+    let mut cmd = Command::new("sh");
+    cmd.args(["-c", "i=0; while [ $i -lt 40000 ]; do i=$((i+1)); done"]);
+    let outcome = Lfm::new().run(&mut cmd).expect("spawn");
+    assert!(outcome.is_success(), "{outcome:?}");
+    let r = outcome.report();
+    assert!(r.cpu_secs > 0.0, "short busy loop reported {r}");
+    assert!(r.polls >= 2, "the final sample was lost: {r}");
+}
+
+#[test]
+fn short_call_returns_at_exit_not_at_next_poll() {
+    let mut cmd = Command::new("sleep");
+    cmd.arg("0.05");
+    let started = Instant::now();
+    let outcome = Lfm::new().run(&mut cmd).expect("spawn");
+    let elapsed = started.elapsed();
+    assert!(outcome.is_success(), "{outcome:?}");
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "returned after {elapsed:?}"
+    );
+    let wall = outcome.report().wall_secs;
+    assert!((0.05..0.2).contains(&wall), "wall_secs {wall}");
+}
+
+#[test]
+fn parallel_runs_each_reap_their_own_child() {
+    // Every watcher waits on its own PID without reaping it: were one to
+    // reap another call's child, that call's own reap would fail. The
+    // barrier starts all four calls together so their children overlap.
+    let start = Arc::new(Barrier::new(4));
+    let handles: Vec<_> = (0..4)
+        .map(|_| {
+            let start = start.clone();
+            std::thread::spawn(move || {
+                let mut cmd = Command::new("sleep");
+                cmd.arg("0.1");
+                start.wait();
+                let started = Instant::now();
+                let outcome = Lfm::new().run(&mut cmd).expect("run");
+                (outcome, started.elapsed())
+            })
+        })
+        .collect();
+    for handle in handles {
+        let (outcome, elapsed) = handle.join().expect("monitor thread");
+        assert!(outcome.is_success(), "{outcome:?}");
+        assert!(
+            elapsed < Duration::from_millis(200),
+            "returned after {elapsed:?}"
+        );
+    }
 }
