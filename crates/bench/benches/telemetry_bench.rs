@@ -1,14 +1,13 @@
-//! Telemetry record-encode throughput: the binary wire path against the
-//! heap reference it replaced, at two batch sizes, plus the streaming
-//! decode cost of draining the binary buffers back into `Record`s.
+//! Telemetry record-encode throughput through the binary wire path at two
+//! batch sizes, plus the streaming decode cost of draining the binary
+//! buffers back into `Record`s.
 //!
-//! The acceptance bar (pinned numerically by `bench_telemetry`, see
-//! `BENCH_telemetry.json`) is ≥5× encode throughput over the heap path:
-//! an emission is a shard-mutex lock, a seq `fetch_add`, and a few dozen
-//! varint bytes — no `String`s, no per-record `Vec`s.
+//! An emission is a shard-mutex lock, a seq `fetch_add`, and a few dozen
+//! varint bytes — no `String`s, no per-record `Vec`s. `bench_telemetry`
+//! records the same encode throughput in `BENCH_telemetry.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lfm_core::telemetry::bench_api::{emit_mixed, emit_mixed_heap, HeapRecorder};
+use lfm_bench::emit_mixed;
 use lfm_core::telemetry::Recorder;
 
 fn bench_encode(c: &mut Criterion) {
@@ -24,13 +23,6 @@ fn bench_encode(c: &mut Criterion) {
                 recorder.take().len()
             })
         });
-        g.bench_with_input(BenchmarkId::new("heap", n), &n, |b, &n| {
-            let recorder = HeapRecorder::new();
-            b.iter(|| {
-                emit_mixed_heap(&recorder, n);
-                recorder.take().len()
-            })
-        });
     }
     g.finish();
 }
@@ -43,13 +35,6 @@ fn bench_encode_only(c: &mut Criterion) {
         b.iter(|| {
             let recorder = Recorder::enabled();
             emit_mixed(&recorder, n);
-            recorder
-        })
-    });
-    g.bench_function("heap", |b| {
-        b.iter(|| {
-            let recorder = HeapRecorder::new();
-            emit_mixed_heap(&recorder, n);
             recorder
         })
     });

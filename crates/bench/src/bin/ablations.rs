@@ -21,7 +21,6 @@ use lfm_core::workqueue::master::{run_workload, DistMode, MasterConfig};
 
 fn main() {
     let trace = lfm_bench::TraceOpts::from_args();
-    lfm_bench::shards_from_args();
     poll_interval();
     headroom();
     min_samples();

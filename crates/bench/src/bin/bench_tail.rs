@@ -7,9 +7,11 @@
 //! 2. **Stream identity** — the live-tailed merged stream must be
 //!    record-identical (same multiset, same total order) to the post-hoc
 //!    `take()` of an identically-seeded run.
-//! 3. **Bounded memory** — the tailer's peak pending-record and
-//!    buffered-byte footprint, which must stay under a constant bound
-//!    independent of run length.
+//! 3. **Bounded memory** — the most one drain hands the tailer at once:
+//!    the largest batch in records and the wire bytes it took from the
+//!    rings. Both must stay under constant bounds independent of run
+//!    length; a control tailer that drains only at the end of the run
+//!    must fail the same check.
 //! 4. **Alert latency** — a seeded serving overload run with SLO burn
 //!    rules; the first page must fire during the arrival phase.
 //!
@@ -35,14 +37,33 @@ use std::time::Instant;
 /// not hit the drop path (dropped records would skew both arms).
 const SHARD_CAP: usize = 4_000_000;
 
+/// Most records one live drain may return. The tailer sleeps 10 ms
+/// between drains; on a 2-core host the largest drains measured were
+/// 30k–65k records. The bound leaves 2× headroom over that, while one
+/// whole-run drain (≥200k records even under `--quick`) exceeds it.
+const MAX_BATCH_RECORDS: usize = 1 << 17;
+/// Most wire bytes one live drain may take from the rings: the same
+/// batch at 32 bytes per record (the fig7 stream averages ~23).
+const MAX_BATCH_BYTES: usize = MAX_BATCH_RECORDS * 32;
+
 /// What the tailer thread saw over one run.
 #[derive(Debug, Default, Clone, Copy)]
 struct TailStats {
     records: u64,
     dropped: u64,
     polls: u64,
-    peak_pending: usize,
-    peak_buffered_bytes: usize,
+    /// Largest batch one drain returned, in records.
+    peak_batch_records: usize,
+    /// Wire bytes the largest-in-bytes drain took from the rings.
+    peak_batch_bytes: usize,
+}
+
+impl TailStats {
+    /// The bounded-memory bar: no single drain handed out more than the
+    /// constant bounds, whatever the run length.
+    fn bounded(&self) -> bool {
+        self.peak_batch_records <= MAX_BATCH_RECORDS && self.peak_batch_bytes <= MAX_BATCH_BYTES
+    }
 }
 
 /// One fig7-style run; returns wall seconds (workload only).
@@ -71,8 +92,10 @@ fn run_posthoc(batches: u64) -> (f64, u64) {
 
 /// Instrumented run with a live tailer draining concurrently. `keep`
 /// retains the drained records (for the identity check); the perf arms
-/// pass `false` so the tailer only counts and discards.
-fn run_tailed(batches: u64, keep: bool) -> (f64, TailStats, Vec<Record>) {
+/// pass `false` so the tailer only counts and discards. With `live`
+/// false the tailer drains only once, after the run (the control arm of
+/// the bounded-memory check).
+fn run_tailed(batches: u64, keep: bool, live: bool) -> (f64, TailStats, Vec<Record>) {
     let r = Recorder::enabled_with_capacity(SHARD_CAP);
     let stop = Arc::new(AtomicBool::new(false));
     let tail_rec = r.clone();
@@ -83,6 +106,10 @@ fn run_tailed(batches: u64, keep: bool) -> (f64, TailStats, Vec<Record>) {
         let mut kept = Vec::new();
         loop {
             let done = tail_stop.load(Ordering::Acquire);
+            if !done && !live {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                continue;
+            }
             let batch = if done {
                 tail_rec.finish_tail(&mut cursor)
             } else {
@@ -91,8 +118,8 @@ fn run_tailed(batches: u64, keep: bool) -> (f64, TailStats, Vec<Record>) {
             stats.records += batch.records.len() as u64;
             stats.dropped += batch.dropped_delta;
             stats.polls += 1;
-            stats.peak_pending = stats.peak_pending.max(cursor.pending_len());
-            stats.peak_buffered_bytes = stats.peak_buffered_bytes.max(cursor.buffered_bytes());
+            stats.peak_batch_records = stats.peak_batch_records.max(batch.records.len());
+            stats.peak_batch_bytes = stats.peak_batch_bytes.max(batch.bytes);
             if keep {
                 kept.extend(batch.records);
             }
@@ -182,21 +209,34 @@ fn main() {
     for _ in 0..reps {
         let (p, _) = run_posthoc(batches);
         posthoc_best = posthoc_best.min(p);
-        let (t, stats, _) = run_tailed(batches, false);
+        let (t, stats, _) = run_tailed(batches, false, true);
         tailed_best = tailed_best.min(t);
         assert_eq!(stats.dropped, 0, "tailed run must not overflow");
         assert_eq!(stats.records, events, "tailer lost records");
         mem.polls = mem.polls.max(stats.polls);
-        mem.peak_pending = mem.peak_pending.max(stats.peak_pending);
-        mem.peak_buffered_bytes = mem.peak_buffered_bytes.max(stats.peak_buffered_bytes);
+        mem.peak_batch_records = mem.peak_batch_records.max(stats.peak_batch_records);
+        mem.peak_batch_bytes = mem.peak_batch_bytes.max(stats.peak_batch_bytes);
     }
     let overhead_pct = (tailed_best / posthoc_best - 1.0) * 100.0;
     eprintln!(
         "  posthoc {posthoc_best:.3}s  tailed {tailed_best:.3}s  overhead {overhead_pct:.2}%"
     );
 
+    eprintln!(
+        "  peak drain {} records / {} bytes over {} polls",
+        mem.peak_batch_records, mem.peak_batch_bytes, mem.polls
+    );
+
+    eprintln!("bounded-memory control (tailer drains only at the end) ...");
+    let (_, end_only, _) = run_tailed(batches, false, false);
+    assert_eq!(end_only.records, events, "control tailer lost records");
+    eprintln!(
+        "  one drain of {} records / {} bytes",
+        end_only.peak_batch_records, end_only.peak_batch_bytes
+    );
+
     eprintln!("stream identity (live vs post-hoc) ...");
-    let (_, _, live) = run_tailed(batches, true);
+    let (_, _, live) = run_tailed(batches, true, true);
     let r = Recorder::enabled_with_capacity(SHARD_CAP);
     run_drug(batches, &r);
     let posthoc = r.take();
@@ -218,13 +258,18 @@ fn main() {
          \"posthoc_secs\": {posthoc_best:.6},\n    \"tailed_secs\": {tailed_best:.6},\n    \
          \"overhead_pct\": {overhead_pct:.3},\n    \"budget_pct\": {budget_pct:.1}\n  }},\n  \"identity\": {{\n    \
          \"records\": {},\n    \"identical\": {identical}\n  }},\n  \"memory\": {{\n    \
-         \"polls\": {},\n    \"peak_pending_records\": {},\n    \
-         \"peak_buffered_bytes\": {}\n  }},\n  \"alert\": {{\n    \"horizon_secs\": {horizon},\n    \
+         \"polls\": {},\n    \"peak_batch_records\": {},\n    \
+         \"bound_batch_records\": {MAX_BATCH_RECORDS},\n    \"peak_batch_bytes\": {},\n    \
+         \"bound_batch_bytes\": {MAX_BATCH_BYTES},\n    \
+         \"end_only_batch_records\": {},\n    \"end_only_batch_bytes\": {}\n  }},\n  \
+         \"alert\": {{\n    \"horizon_secs\": {horizon},\n    \
          \"alerts\": {},\n    \"first_fired_at_secs\": {}\n  }}\n}}\n",
         live.len(),
         mem.polls,
-        mem.peak_pending,
-        mem.peak_buffered_bytes,
+        mem.peak_batch_records,
+        mem.peak_batch_bytes,
+        end_only.peak_batch_records,
+        end_only.peak_batch_bytes,
         report.alerts.len(),
         fired_at.map_or("null".to_string(), |t| t.to_string()),
     );
@@ -240,13 +285,19 @@ fn main() {
         overhead_pct < budget_pct,
         "live tailing overhead {overhead_pct:.2}% exceeds the {budget_pct}% budget"
     );
-    // Bounded memory: the tailer may transiently hold at most one ring's
-    // worth of bytes per shard plus a small pending reorder window —
-    // constants set by capacity, not by how long the run was.
+    // Bounded memory: no live drain handed out more than the constant
+    // bounds, and the check is able to fail — a tailer that waits for
+    // the end of the run takes everything in one drain.
     assert!(
-        mem.peak_buffered_bytes <= SHARD_CAP * 2,
-        "tailer buffered {} bytes, beyond the ring-capacity bound",
-        mem.peak_buffered_bytes
+        mem.bounded(),
+        "a live drain returned {} records / {} bytes, beyond the {MAX_BATCH_RECORDS}-record / \
+         {MAX_BATCH_BYTES}-byte bound",
+        mem.peak_batch_records,
+        mem.peak_batch_bytes
+    );
+    assert!(
+        !end_only.bounded(),
+        "the end-only control passed the bounded-memory check, so the check cannot fail"
     );
     assert!(!report.alerts.is_empty(), "overload fired no SLO alert");
     let fired = fired_at.unwrap();

@@ -5,7 +5,6 @@ use lfm_core::experiments::fig6;
 
 fn main() {
     let trace = TraceOpts::from_args();
-    lfm_bench::shards_from_args();
     println!("Figure 6 — HEP workflow (ND-CRC)\n");
 
     println!("(a) varying analysis tasks, 6 workers x 8 cores:");

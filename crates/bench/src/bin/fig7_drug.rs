@@ -5,7 +5,6 @@ use lfm_core::experiments::fig7;
 
 fn main() {
     let trace = TraceOpts::from_args();
-    lfm_bench::shards_from_args();
     println!("Figure 7 — drug screening (Theta)\n");
 
     println!("(left) varying total tasks on 14 workers:");

@@ -5,7 +5,6 @@ use lfm_core::experiments::fig8;
 
 fn main() {
     let trace = TraceOpts::from_args();
-    lfm_bench::shards_from_args();
     println!("Figure 8 — genomic analysis (NSCC Aspire)\n");
 
     println!("(left) varying genomes on 14 workers:");

@@ -5,7 +5,6 @@ use lfm_core::experiments::fig9;
 
 fn main() {
     let trace = TraceOpts::from_args();
-    lfm_bench::shards_from_args();
     println!("Figure 9 — funcX ResNet image classification\n");
 
     println!("(left) varying tasks on 4 workers:");

@@ -6,10 +6,11 @@
 
 use lfm_core::experiments::sweep::SweepPoint;
 use lfm_core::render::{fmt_secs, render_table};
+use lfm_core::simcluster::time::SimTime;
 use lfm_core::telemetry::export::{
     ChromeSink, JsonlSink, PerfettoSink, PerfettoStreamSink, TraceSink,
 };
-use lfm_core::telemetry::{export, MetricsRegistry, Recorder};
+use lfm_core::telemetry::{export, MetricsRegistry, Name, Recorder};
 use std::io::{BufWriter, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -127,11 +128,12 @@ pub fn parse_trace_specs(args: &[String]) -> Vec<TraceSpec> {
 struct StreamResult {
     records: u64,
     dropped: u64,
-    /// High-water mark of undecoded bytes plus reorder-pending records
-    /// held by the tail cursor — bounded by ring capacity, not run
-    /// length (reported so long runs can see the bound holding).
-    peak_buffered_bytes: usize,
-    peak_pending_records: usize,
+    /// Largest batch one drain handed the streamer, in records, and the
+    /// most wire bytes one drain took from the rings — set by the poll
+    /// interval, not run length (reported so long runs can see the bound
+    /// holding).
+    peak_batch_records: usize,
+    peak_batch_bytes: usize,
     registry: MetricsRegistry,
 }
 
@@ -158,8 +160,8 @@ fn stream_loop(
     let mut registry = MetricsRegistry::new();
     let mut records = 0u64;
     let mut dropped = 0u64;
-    let mut peak_buffered_bytes = 0usize;
-    let mut peak_pending_records = 0usize;
+    let mut peak_batch_records = 0usize;
+    let mut peak_batch_bytes = 0usize;
     for sink in &mut sinks {
         sink.begin().expect("trace sink begin");
     }
@@ -172,8 +174,8 @@ fn stream_loop(
         };
         dropped += batch.dropped_delta;
         records += batch.records.len() as u64;
-        peak_buffered_bytes = peak_buffered_bytes.max(cursor.buffered_bytes());
-        peak_pending_records = peak_pending_records.max(cursor.pending_len());
+        peak_batch_records = peak_batch_records.max(batch.records.len());
+        peak_batch_bytes = peak_batch_bytes.max(batch.bytes);
         for record in &batch.records {
             registry.observe_record(record);
             for sink in &mut sinks {
@@ -194,8 +196,8 @@ fn stream_loop(
             return StreamResult {
                 records,
                 dropped,
-                peak_buffered_bytes,
-                peak_pending_records,
+                peak_batch_records,
+                peak_batch_bytes,
                 registry,
             };
         }
@@ -320,8 +322,8 @@ impl TraceOpts {
                 );
             }
             println!(
-                "[trace-stream] peak buffer: {} bytes undecoded, {} records pending",
-                result.peak_buffered_bytes, result.peak_pending_records
+                "[trace-stream] peak drain: {} records, {} bytes",
+                result.peak_batch_records, result.peak_batch_bytes
             );
             let mut registry = result.registry;
             println!("[metrics] {}", registry.to_json());
@@ -348,37 +350,43 @@ impl TraceOpts {
     }
 }
 
-/// Parse `--shards <n>` out of an argument list without installing it
-/// (testable core of [`shards_from_args`]).
-pub fn parse_shards(args: &[String]) -> Option<u32> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--shards" {
-            let n: u32 = it
-                .next()
-                .expect("--shards requires a count")
-                .parse()
-                .expect("--shards must be an integer");
-            return Some(n.max(1));
+/// Emit `n` events through `recorder`: a rotating span / instant /
+/// counter mix shaped like one simulated task's telemetry (the span
+/// carries the status + cpu attrs the master's `exec` span does). The
+/// shared generator of the telemetry encode benches. Names are interned
+/// once up front, the way real instrumentation sites hold their keys.
+pub fn emit_mixed(recorder: &Recorder, n: u64) {
+    let [exec, dispatch, task_done, cat_lfm, cat_master, status, cpu_s, done] = [
+        "exec",
+        "dispatch",
+        "master.task_done",
+        "lfm",
+        "master",
+        "status",
+        "cpu_s",
+        "done",
+    ]
+    .map(Name::intern);
+    for i in 0..n {
+        let t = i as f64 * 0.001;
+        match i % 3 {
+            0 => recorder
+                .span_key(exec, cat_lfm)
+                .between_secs(t, t + 0.5)
+                .track(i % 14)
+                .task(i)
+                .attr_key(status, done)
+                .attr_key(cpu_s, 0.5f64)
+                .emit(),
+            1 => recorder
+                .instant_key(dispatch, cat_master)
+                .at(SimTime::from_secs(t))
+                .track(i % 14)
+                .task(i)
+                .emit(),
+            _ => recorder.counter_at_key(task_done, 1, SimTime::from_secs(t)),
         }
     }
-    None
-}
-
-/// Parse `--shards <n>` from the process argv and install it as the
-/// process-wide default shard count, so every `MasterConfig::new()` the
-/// figure builds routes through the federated master
-/// (see `lfm_workqueue::federation`). Returns the shard count (1 when the
-/// flag is absent). Call once at the top of `main`, alongside
-/// [`TraceOpts::from_args`].
-pub fn shards_from_args() -> u32 {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let n = parse_shards(&args).unwrap_or(1);
-    lfm_core::workqueue::federation::set_default_shards(n);
-    if n > 1 {
-        println!("[federation: {n} foreman shards]");
-    }
-    n
 }
 
 /// Where regenerators drop machine-readable outputs.
@@ -547,15 +555,23 @@ mod tests {
     }
 
     #[test]
-    fn parse_shards_reads_flag_and_clamps() {
-        assert_eq!(parse_shards(&[]), None);
-        let args: Vec<String> = ["--seed", "7", "--shards", "4"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(parse_shards(&args), Some(4));
-        let args: Vec<String> = ["--shards", "0"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_shards(&args), Some(1), "clamped to at least 1");
+    fn emit_mixed_rotates_span_instant_counter() {
+        use lfm_core::telemetry::Record;
+        let rec = Recorder::enabled();
+        emit_mixed(&rec, 99);
+        let records = rec.take();
+        assert_eq!(records.len(), 99);
+        for (i, r) in records.iter().enumerate() {
+            match (i % 3, r) {
+                (0, Record::Span(s)) => {
+                    assert_eq!((s.name.as_str(), s.cat.as_str()), ("exec", "lfm"));
+                    assert_eq!(s.attrs.len(), 2);
+                }
+                (1, Record::Instant(s)) => assert_eq!(s.name, "dispatch"),
+                (2, Record::Metric(m)) => assert_eq!(m.name, "master.task_done"),
+                _ => panic!("record {i} out of rotation: {r:?}"),
+            }
+        }
     }
 
     #[test]
@@ -607,7 +623,6 @@ mod tests {
 
     #[test]
     fn streamed_chrome_trace_matches_buffered_output() {
-        use lfm_core::simcluster::time::SimTime;
         let emit = |rec: &Recorder| {
             for i in 0..500u64 {
                 rec.counter("bench.stream_counter", 1 + i % 3);
@@ -641,7 +656,6 @@ mod tests {
 
     #[test]
     fn stream_mode_feeds_buffered_and_streaming_sinks_together() {
-        use lfm_core::simcluster::time::SimTime;
         let chrome = std::env::temp_dir().join("lfm_bench_mixed_chrome.json");
         let pftrace = std::env::temp_dir().join("lfm_bench_mixed.pftrace");
         let rec = Recorder::enabled();

@@ -96,15 +96,6 @@ impl ControlConfig {
         self
     }
 
-    pub fn with_quota_factor(mut self, quota_factor: f64) -> Self {
-        assert!(
-            quota_factor > 0.0 && quota_factor < 1.0,
-            "quota factor must tighten"
-        );
-        self.quota_factor = quota_factor;
-        self
-    }
-
     pub fn with_max_level(mut self, max_level: u32) -> Self {
         assert!(max_level > 0, "zero max level");
         self.max_level = max_level;

@@ -147,6 +147,15 @@ impl ServingFunction {
     }
 }
 
+/// Max invocations per master task group (one `Submit` per tick).
+const BATCH_MAX: usize = 64;
+
+/// The warm pool: eight resident environment instances per worker,
+/// reclaimed after 30 s idle.
+fn warm_pool_config(workers: u32) -> WarmPoolConfig {
+    WarmPoolConfig::new(workers as usize * 8, 30.0)
+}
+
 /// Gateway-level configuration (tenants and functions are passed
 /// separately).
 #[derive(Debug, Clone)]
@@ -161,12 +170,7 @@ pub struct ServingConfig {
     /// therefore fairness — is decided by its scheduler, not the
     /// master's FIFO.
     pub dispatch_window: usize,
-    /// Max invocations per master task group (one `Submit` per tick).
-    pub batch_max: usize,
     pub admission: AdmissionConfig,
-    pub warm_pool: WarmPoolConfig,
-    /// Master allocation strategy for invocation placement.
-    pub strategy: Strategy,
     pub workers: u32,
     pub node: NodeSpec,
     pub telemetry: Recorder,
@@ -192,13 +196,7 @@ impl ServingConfig {
             horizon_secs: 60.0,
             tick_secs: 0.1,
             dispatch_window: 256,
-            batch_max: 64,
             admission: AdmissionConfig::default(),
-            warm_pool: WarmPoolConfig::new((workers as usize) * 8, 30.0),
-            // LFM-managed invocations: per-function labels learned from
-            // monitor reports, so invocations pack instead of taking
-            // whole workers (the paper's core claim, applied to serving).
-            strategy: Strategy::Auto(AutoConfig::default()),
             workers,
             node,
             telemetry: Recorder::disabled(),
@@ -231,25 +229,9 @@ impl ServingConfig {
         self
     }
 
-    pub fn with_warm_pool(mut self, warm_pool: WarmPoolConfig) -> Self {
-        self.warm_pool = warm_pool;
-        self
-    }
-
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     pub fn with_dispatch_window(mut self, window: usize) -> Self {
         assert!(window > 0, "zero dispatch window");
         self.dispatch_window = window;
-        self
-    }
-
-    pub fn with_batch_max(mut self, batch_max: usize) -> Self {
-        assert!(batch_max > 0, "zero batch size");
-        self.batch_max = batch_max;
         self
     }
 
@@ -575,7 +557,10 @@ impl ServingGateway {
             config.control.is_none() || config.slo.is_some(),
             "alert-driven control requires an SLO (ServingConfig::with_slo)"
         );
-        let master_cfg = MasterConfig::new(config.strategy.clone())
+        // LFM-managed invocations: per-function labels learned from
+        // monitor reports, so invocations pack instead of taking whole
+        // workers (the paper's core claim, applied to serving).
+        let master_cfg = MasterConfig::new(Strategy::Auto(AutoConfig::default()))
             .with_seed(config.seed)
             .with_telemetry(config.telemetry.clone())
             .with_durability(config.durability)
@@ -603,7 +588,7 @@ impl ServingGateway {
             .iter()
             .map(|t| t.quota.map(TokenBucket::new))
             .collect();
-        let pool = WarmPool::new(config.warm_pool);
+        let pool = WarmPool::new(warm_pool_config(config.workers));
         let tel_keys = tenants
             .iter()
             .map(|t| TenantTelKeys::new(&t.name))
@@ -723,7 +708,7 @@ impl ServingGateway {
             .config
             .dispatch_window
             .saturating_sub(outstanding)
-            .min(self.config.batch_max);
+            .min(BATCH_MAX);
         let mut batch = Vec::new();
         while budget > 0 {
             let queues = &self.queues;
@@ -977,7 +962,7 @@ impl ServingGateway {
             .map(|t| t.quota.map(TokenBucket::new))
             .collect();
         self.sched.restore_passes(&vec![0; self.tenants.len()]);
-        self.pool = WarmPool::new(self.config.warm_pool);
+        self.pool = WarmPool::new(warm_pool_config(self.config.workers));
         self.depth_limit = self.tenants.iter().map(|t| t.max_queue_depth).collect();
         if let Some(policy) = self.control.as_mut() {
             let cfg = *policy.config();
@@ -1051,7 +1036,7 @@ impl ServingGateway {
             }
             rate
         });
-        let pool_capacity = policy.pool_capacity(self.config.warm_pool.capacity);
+        let pool_capacity = policy.pool_capacity(warm_pool_config(self.config.workers).capacity);
         self.pool.set_capacity(pool_capacity);
         // Staged degradation: a tighten sheds the over-bound backlog
         // now instead of serving it at unbounded latency. Oldest first:

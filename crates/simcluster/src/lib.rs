@@ -31,7 +31,7 @@ pub mod time;
 pub mod prelude {
     pub use crate::batch::{BatchParams, BatchSystem, Pilot};
     pub use crate::event::EventQueue;
-    pub use crate::metrics::{Samples, Summary};
+    pub use crate::metrics::Summary;
     pub use crate::network::{Disturbance, Network, NetworkParams, TransferOutcome};
     pub use crate::node::{Node, NodeSpec, Resources};
     pub use crate::rng::SimRng;

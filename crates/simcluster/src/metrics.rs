@@ -78,16 +78,20 @@ impl Summary {
     }
 }
 
-/// An exact-quantile sample store. Keeps all samples; fine at the scales the
-/// experiments run at (≤ millions of f64s), and exact percentiles matter for
-/// the allocator's first-allocation policy.
+/// An exact-sample histogram with percentile convenience accessors.
+///
+/// Keeps every sample so tail percentiles are exact — the paper reports
+/// tails, the allocator's first-allocation policy needs exact quantiles,
+/// and at experiment scale (≤ millions of f64s) the memory cost is
+/// negligible. Percentiles take `&mut self` because the store sorts
+/// lazily.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Samples {
+pub struct Histogram {
     values: Vec<f64>,
     sorted: bool,
 }
 
-impl Samples {
+impl Histogram {
     pub fn new() -> Self {
         Self::default()
     }
@@ -98,36 +102,12 @@ impl Samples {
         self.sorted = false;
     }
 
-    pub fn len(&self) -> usize {
+    pub fn count(&self) -> usize {
         self.values.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.values.sort_by(f64::total_cmp);
-            self.sorted = true;
-        }
-    }
-
-    /// Quantile `q` in \[0,1\] by nearest-rank (q=1.0 → max).
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        if self.values.is_empty() {
-            return None;
-        }
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        self.ensure_sorted();
-        let idx = ((q * self.values.len() as f64).ceil() as usize)
-            .saturating_sub(1)
-            .min(self.values.len() - 1);
-        Some(self.values[idx])
-    }
-
-    pub fn max(&mut self) -> Option<f64> {
-        self.quantile(1.0)
     }
 
     pub fn mean(&self) -> f64 {
@@ -138,58 +118,21 @@ impl Samples {
         }
     }
 
-    /// Fraction of samples ≤ x (empirical CDF).
-    pub fn cdf(&mut self, x: f64) -> f64 {
+    /// Percentile `p` in [0, 100] by nearest rank (100 → max); 0.0 for an
+    /// empty histogram (convenient for report fields).
+    pub fn percentile(&mut self, p: f64) -> f64 {
+        assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
         if self.values.is_empty() {
             return 0.0;
         }
-        self.ensure_sorted();
-        let count = self.values.partition_point(|&v| v <= x);
-        count as f64 / self.values.len() as f64
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.values.iter().copied()
-    }
-}
-
-/// An exact-sample histogram with percentile convenience accessors.
-///
-/// Keeps every sample (like [`Samples`], which it wraps) so tail
-/// percentiles are exact — the paper reports tails, and at experiment
-/// scale the memory cost is negligible. Percentiles take `&mut self`
-/// because the backing store sorts lazily.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    samples: Samples,
-}
-
-impl Histogram {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn record(&mut self, x: f64) {
-        self.samples.record(x);
-    }
-
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    pub fn mean(&self) -> f64 {
-        self.samples.mean()
-    }
-
-    /// Percentile `p` in [0, 100] by nearest rank; 0.0 for an empty
-    /// histogram (convenient for report fields).
-    pub fn percentile(&mut self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-        self.samples.quantile(p / 100.0).unwrap_or(0.0)
+        if !self.sorted {
+            self.values.sort_by(f64::total_cmp);
+            self.sorted = true;
+        }
+        let idx = ((p / 100.0 * self.values.len() as f64).ceil() as usize)
+            .saturating_sub(1)
+            .min(self.values.len() - 1);
+        self.values[idx]
     }
 
     pub fn p50(&mut self) -> f64 {
@@ -214,13 +157,13 @@ impl Histogram {
 
     /// Fold another histogram's samples into this one (shard merges).
     pub fn merge(&mut self, other: &Histogram) {
-        for v in other.samples.iter() {
-            self.samples.record(v);
+        for v in other.iter() {
+            self.record(v);
         }
     }
 
     pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.samples.iter()
+        self.values.iter().copied()
     }
 }
 
@@ -454,47 +397,46 @@ mod tests {
 
     #[test]
     fn quantiles_nearest_rank() {
-        let mut s = Samples::new();
-        for x in 1..=100 {
-            s.record(x as f64);
+        // Nearest rank rounds the rank up: with four samples, p25 is the
+        // first and anything above it the second.
+        let mut h = Histogram::new();
+        for x in [4.0, 1.0, 3.0, 2.0] {
+            h.record(x);
         }
-        assert_eq!(s.quantile(0.5), Some(50.0));
-        assert_eq!(s.quantile(0.95), Some(95.0));
-        assert_eq!(s.quantile(1.0), Some(100.0));
-        assert_eq!(s.quantile(0.0), Some(1.0));
+        assert_eq!(h.percentile(0.0), 1.0);
+        assert_eq!(h.percentile(25.0), 1.0);
+        assert_eq!(h.percentile(26.0), 2.0);
+        assert_eq!(h.percentile(50.0), 2.0);
+        assert_eq!(h.percentile(75.0), 3.0);
+        assert_eq!(h.percentile(100.0), 4.0);
     }
 
     #[test]
     fn quantile_of_empty_is_none() {
-        let mut s = Samples::new();
-        assert_eq!(s.quantile(0.5), None);
-    }
-
-    #[test]
-    fn cdf_matches_quantile() {
-        let mut s = Samples::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            s.record(x);
-        }
-        assert_eq!(s.cdf(2.0), 0.5);
-        assert_eq!(s.cdf(0.5), 0.0);
-        assert_eq!(s.cdf(10.0), 1.0);
+        // An empty histogram has no order statistic; report fields read 0.
+        let mut h = Histogram::new();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.p50(), 0.0);
+        assert_eq!(h.max(), 0.0);
     }
 
     #[test]
     fn record_after_quantile_resorts() {
-        let mut s = Samples::new();
-        s.record(5.0);
-        assert_eq!(s.max(), Some(5.0));
-        s.record(9.0);
-        assert_eq!(s.max(), Some(9.0));
+        let mut h = Histogram::new();
+        h.record(5.0);
+        assert_eq!(h.max(), 5.0);
+        h.record(9.0);
+        assert_eq!(h.max(), 9.0);
+        h.record(1.0);
+        assert_eq!(h.percentile(0.0), 1.0);
     }
 
     #[test]
     #[should_panic(expected = "non-finite sample")]
     fn non_finite_sample_panics() {
-        let mut s = Samples::new();
-        s.record(f64::NAN);
+        let mut h = Histogram::new();
+        h.record(f64::NAN);
     }
 
     #[test]

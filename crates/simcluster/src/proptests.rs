@@ -3,7 +3,7 @@
 #![cfg(test)]
 
 use crate::event::EventQueue;
-use crate::metrics::Samples;
+use crate::metrics::Histogram;
 use crate::node::{Node, NodeSpec, Resources};
 use crate::sharedfs::{SharedFs, SharedFsParams};
 use crate::time::SimTime;
@@ -40,34 +40,44 @@ proptest! {
         prop_assert_eq!(q.stats().0, times.len() as u64);
     }
 
-    /// Quantiles are bounded by min/max and monotone in q.
+    /// Percentiles are bounded by min/max and monotone in p.
     #[test]
     fn quantiles_bounded_and_monotone(xs in prop::collection::vec(-1e6f64..1e6, 1..100)) {
-        let mut s = Samples::new();
+        let mut h = Histogram::new();
         for &x in &xs {
-            s.record(x);
+            h.record(x);
         }
         let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let mut prev = lo;
-        for q in [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
-            let v = s.quantile(q).unwrap();
-            prop_assert!(v >= lo && v <= hi, "q{q}={v} outside [{lo},{hi}]");
-            prop_assert!(v >= prev, "quantiles not monotone at {q}");
+        for p in [0.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0] {
+            let v = h.percentile(p);
+            prop_assert!(v >= lo && v <= hi, "p{p}={v} outside [{lo},{hi}]");
+            prop_assert!(v >= prev, "percentiles not monotone at {p}");
             prev = v;
         }
-        prop_assert_eq!(s.quantile(1.0).unwrap(), hi);
+        prop_assert_eq!(h.max(), hi);
     }
 
-    /// CDF is the exact fraction at or below x.
+    /// Percentile `p` is the nearest-rank order statistic, checked by
+    /// counting: at least `p%` of the samples are at or below it, and
+    /// fewer than `max(p% of n, 1)` are strictly below it.
     #[test]
-    fn cdf_matches_count(xs in prop::collection::vec(-100i32..100, 1..80), probe in -100i32..100) {
-        let mut s = Samples::new();
+    fn percentile_matches_rank_count(
+        xs in prop::collection::vec(-100i32..100, 1..80),
+        p_tenths in 0u32..1001,
+    ) {
+        let p = p_tenths as f64 / 10.0;
+        let mut h = Histogram::new();
         for &x in &xs {
-            s.record(x as f64);
+            h.record(x as f64);
         }
-        let expect = xs.iter().filter(|&&x| x <= probe).count() as f64 / xs.len() as f64;
-        prop_assert!((s.cdf(probe as f64) - expect).abs() < 1e-12);
+        let v = h.percentile(p);
+        let target = p / 100.0 * xs.len() as f64;
+        let at_or_below = xs.iter().filter(|&&x| x as f64 <= v).count() as f64;
+        let below = xs.iter().filter(|&&x| (x as f64) < v).count() as f64;
+        prop_assert!(at_or_below >= target - 1e-9, "p{p}={v}: {at_or_below} <= v, want >= {target}");
+        prop_assert!(below < target.max(1.0), "p{p}={v}: {below} < v, want < {target}");
     }
 
     /// Node allocation algebra: allocations that fit always succeed, the

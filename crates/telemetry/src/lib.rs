@@ -24,9 +24,8 @@
 //!   allocations plus a ~150-byte enum now costs ~10–30 buffer bytes and
 //!   zero allocations (amortised). [`Recorder::take`] / [`Recorder::snapshot`]
 //!   stream-decode the shards back into [`Record`]s through a k-way merge
-//!   on the global sequence number, so exporters and tests see exactly the
-//!   stream the heap-record implementation produced — byte-identical traces
-//!   for identical seeded runs.
+//!   on the global sequence number, so exporters and tests see one totally
+//!   ordered stream — byte-identical traces for identical seeded runs.
 //! * **Sharded buffers.** Live recording appends to one of a fixed set of
 //!   mutex-guarded shards chosen by thread, so parallel sweep jobs sharing
 //!   a recorder do not serialize on one lock. A global sequence number
@@ -75,7 +74,6 @@
 //! [`Recorder::counter_key`], ...), which take pre-interned ids and touch
 //! no string machinery at all.
 
-pub mod bench_api;
 pub mod codec;
 pub mod export;
 pub mod intern;
@@ -585,6 +583,7 @@ impl Recorder {
         };
         let epoch = inner.take_epoch.load(Ordering::Relaxed);
         cursor.observe_epoch(epoch);
+        let mut bytes = 0;
         for (i, s) in inner.shards.iter().enumerate() {
             let mut shard = s.lock();
             if shard.buf.is_empty() {
@@ -596,6 +595,7 @@ impl Recorder {
             // starts where the encoder stands.
             shard.base_st = shard.st;
             cursor.feed(i, &shard.buf);
+            bytes += shard.buf.len();
             // clear() keeps the allocation: stealing the Vec would force
             // the emit hot path to regrow it from zero after every poll.
             shard.buf.clear();
@@ -605,6 +605,7 @@ impl Recorder {
         TailBatch {
             records,
             dropped_delta,
+            bytes,
         }
     }
 

@@ -299,6 +299,9 @@ pub struct TailBatch {
     /// Records dropped at full shards since the last poll — the live
     /// counterpart of the synthetic `telemetry.dropped_events` counter.
     pub dropped_delta: u64,
+    /// Wire bytes this poll took out of the shard rings — with
+    /// `records.len()`, what one drain hands its consumer at once.
+    pub bytes: usize,
 }
 
 impl TailCursor {
@@ -450,6 +453,21 @@ mod tests {
         assert_eq!(batch.records.len(), 1);
         assert_eq!(batch.records[0].seq(), 2, "codec state carried across");
         assert!(r.drain_since(&mut cursor).records.is_empty());
+    }
+
+    #[test]
+    fn drain_reports_the_bytes_it_took() {
+        let r = Recorder::enabled();
+        let mut cursor = r.cursor();
+        for i in 0..10 {
+            r.counter("tail.bytes", i);
+        }
+        let held = r.buffered_bytes();
+        assert!(held > 0);
+        let batch = r.drain_since(&mut cursor);
+        assert_eq!(batch.bytes, held);
+        assert_eq!(r.buffered_bytes(), 0);
+        assert_eq!(r.drain_since(&mut cursor).bytes, 0, "nothing left to take");
     }
 
     #[test]

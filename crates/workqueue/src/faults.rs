@@ -38,11 +38,8 @@ pub struct FaultSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum FaultKind {
     /// Pilot eviction: each worker's lifetime is exponential with this
-    /// mean; `replace` submits a replacement pilot per loss.
-    WorkerChurn {
-        mean_lifetime_secs: f64,
-        replace: bool,
-    },
+    /// mean; every loss submits a replacement pilot.
+    WorkerChurn { mean_lifetime_secs: f64 },
     /// With probability `prob` a worker is a straggler: everything it
     /// executes is slowed by a factor uniform in `[min_factor, max_factor]`.
     Straggler {
@@ -91,10 +88,7 @@ impl FaultSpec {
 
     /// Exponential pilot eviction with auto-replacement.
     pub fn worker_churn(mean_lifetime_secs: f64) -> Self {
-        Self::new(FaultKind::WorkerChurn {
-            mean_lifetime_secs,
-            replace: true,
-        })
+        Self::new(FaultKind::WorkerChurn { mean_lifetime_secs })
     }
 
     /// Per-worker straggler slowdown.
@@ -152,14 +146,6 @@ impl FaultSpec {
     /// Override this spec's stream seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// For churn specs: do not submit replacement pilots.
-    pub fn without_replacement(mut self) -> Self {
-        if let FaultKind::WorkerChurn { replace, .. } = &mut self.kind {
-            *replace = false;
-        }
         self
     }
 }
@@ -320,7 +306,7 @@ fn stream_seed(master_seed: u64, spec_seed: u64, kind_salt: u64) -> u64 {
 /// scheduler implementations consume identical fault sequences.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
-    churn: Option<(f64, bool, u64)>,
+    churn: Option<(f64, u64)>,
     straggler: Option<(f64, f64, f64, u64)>,
     stage_fail: Option<(f64, SimRng)>,
     disk_full: Option<(f64, SimRng)>,
@@ -351,15 +337,8 @@ impl FaultState {
         };
         for spec in plan.specs() {
             match spec.kind {
-                FaultKind::WorkerChurn {
-                    mean_lifetime_secs,
-                    replace,
-                } => {
-                    s.churn = Some((
-                        mean_lifetime_secs,
-                        replace,
-                        stream_seed(master_seed, spec.seed, 1),
-                    ));
+                FaultKind::WorkerChurn { mean_lifetime_secs } => {
+                    s.churn = Some((mean_lifetime_secs, stream_seed(master_seed, spec.seed, 1)));
                 }
                 FaultKind::Straggler {
                     prob,
@@ -433,15 +412,10 @@ impl FaultState {
     /// Keyed draw: this worker's eviction time after coming up, if churn is
     /// configured.
     pub fn worker_lifetime(&self, worker: u32) -> Option<f64> {
-        let (mean, _, seed) = self.churn?;
+        let (mean, seed) = self.churn?;
         let mut rng = SimRng::seeded(mix(seed ^ mix(worker as u64)));
         let u = rng.uniform(1e-9, 1.0);
         Some(-mean * u.ln())
-    }
-
-    /// Submit a replacement pilot when a worker dies?
-    pub fn replace_evicted(&self) -> bool {
-        self.churn.map(|(_, replace, _)| replace).unwrap_or(false)
     }
 
     /// Keyed draw: this worker's execution slowdown factor (1.0 = healthy).

@@ -13,15 +13,15 @@
 //!   cross-shard dependency edges), balancing components across shards by
 //!   total duration. `ByCategory` and `RoundRobin` trade cross-shard edges
 //!   for spread.
-//! * **Handoff** ([`HandoffConfig`]) — when a producer finishes on one
-//!   shard and its dependent is owned by another, a `Release` message rides
-//!   a simulated inter-shard link (latency + output bytes over bandwidth)
-//!   and lands as a world event on the owner's calendar. Permanent failures
-//!   ship `Cancel` the same way; the owner accounts the abandonment and
+//! * **Handoff** — when a producer finishes on one shard and its
+//!   dependent is owned by another, a `Release` message rides a simulated
+//!   inter-shard link (50 ms latency + output bytes over 10 GbE) and lands
+//!   as a world event on the owner's calendar. Permanent failures ship
+//!   `Cancel` the same way; the owner accounts the abandonment and
 //!   continues the cascade.
-//! * **Work stealing** ([`StealingConfig`]) — after every step, shards with
-//!   an empty pending queue steal batches of queued *first attempts* from
-//!   the hottest shard (coldest-policy-order tasks first). Migrations are
+//! * **Work stealing** — after every step, shards with an empty pending
+//!   queue steal batches of up to 8 queued *first attempts* from the
+//!   hottest shard (coldest-policy-order tasks first). Migrations are
 //!   journaled on the victim (`Stolen`) so a crash cannot resurrect the
 //!   task there, and complete on the thief.
 //!
@@ -45,25 +45,8 @@ use lfm_monitor::summary::JsonObject;
 use lfm_simcluster::node::NodeSpec;
 use lfm_simcluster::time::SimTime;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Process-global default shard count, read by [`MasterConfig::new`] so
-/// sweep binaries can turn `--shards N` into federated runs without
-/// threading a parameter through every call site.
-static DEFAULT_SHARDS: AtomicU32 = AtomicU32::new(1);
-
-/// Install the default shard count for subsequently constructed
-/// [`MasterConfig`]s (clamped to at least 1). Used by `lfm_bench`'s
-/// `--shards N` flag.
-pub fn set_default_shards(n: u32) {
-    DEFAULT_SHARDS.store(n.max(1), Ordering::Relaxed);
-}
-
-pub(crate) fn default_shards() -> u32 {
-    DEFAULT_SHARDS.load(Ordering::Relaxed)
-}
 
 /// How the task space is split across shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -82,51 +65,21 @@ pub enum PartitionPolicy {
     ByComponent,
 }
 
-/// The simulated inter-shard link that `Release`/`Cancel` handoffs and
-/// stolen tasks ride.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HandoffConfig {
-    /// One-way message latency, seconds.
-    pub latency_secs: f64,
-    /// Link bandwidth for dependency outputs (bytes/second).
-    pub bandwidth_bytes_per_sec: f64,
-}
+/// One-way latency of the simulated inter-shard link that
+/// `Release`/`Cancel` handoffs and stolen tasks ride, seconds.
+const HANDOFF_LATENCY_SECS: f64 = 0.05;
+/// Bandwidth of that link for dependency outputs, bytes/second.
+const HANDOFF_BANDWIDTH_BYTES_PER_SEC: f64 = 1.25e9;
+/// Most tasks the work-stealing balancer migrates per steal.
+const STEAL_MAX_BATCH: usize = 8;
+/// A victim must have at least this many queued tasks to be robbed.
+const STEAL_MIN_VICTIM: usize = 2;
 
-impl Default for HandoffConfig {
-    fn default() -> Self {
-        HandoffConfig {
-            latency_secs: 0.05,
-            bandwidth_bytes_per_sec: 1.25e9,
-        }
-    }
-}
-
-/// Work-stealing balancer knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealingConfig {
-    /// Most tasks migrated per steal (0 disables stealing).
-    pub max_batch: usize,
-    /// A victim must have at least this many queued tasks to be robbed.
-    pub min_victim: usize,
-}
-
-impl Default for StealingConfig {
-    fn default() -> Self {
-        StealingConfig {
-            max_batch: 8,
-            min_victim: 2,
-        }
-    }
-}
-
-/// Federation shape: shard count plus the partition, handoff, and stealing
-/// policies.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Federation shape: shard count plus the partition policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FederationConfig {
     pub shards: u32,
     pub partition: PartitionPolicy,
-    pub handoff: HandoffConfig,
-    pub stealing: StealingConfig,
 }
 
 impl FederationConfig {
@@ -139,16 +92,6 @@ impl FederationConfig {
 
     pub fn with_partition(mut self, p: PartitionPolicy) -> Self {
         self.partition = p;
-        self
-    }
-
-    pub fn with_stealing(mut self, s: StealingConfig) -> Self {
-        self.stealing = s;
-        self
-    }
-
-    pub fn with_handoff(mut self, h: HandoffConfig) -> Self {
-        self.handoff = h;
         self
     }
 }
@@ -406,9 +349,8 @@ pub fn run_federated(
                     bytes,
                 } => {
                     let dest = owner[task_idx] as usize;
-                    let deliver = at
-                        + fed.handoff.latency_secs
-                        + bytes as f64 / fed.handoff.bandwidth_bytes_per_sec;
+                    let deliver =
+                        at + HANDOFF_LATENCY_SECS + bytes as f64 / HANDOFF_BANDWIDTH_BYTES_PER_SEC;
                     masters[dest].inject_at(
                         deliver,
                         Event::RemoteRelease {
@@ -422,7 +364,7 @@ pub fn run_federated(
                 OutMsg::Cancel { task_idx, at } => {
                     let dest = owner[task_idx] as usize;
                     masters[dest].inject_at(
-                        at + fed.handoff.latency_secs,
+                        at + HANDOFF_LATENCY_SECS,
                         Event::RemoteRelease {
                             task_idx,
                             success: false,
@@ -435,7 +377,7 @@ pub fn run_federated(
 
         // Work stealing: hungry shards (empty queue, nothing already in
         // flight toward them) rob the hottest victim.
-        if shards > 1 && fed.stealing.max_batch > 0 {
+        if shards > 1 {
             for thief in 0..n {
                 if masters[thief].is_down()
                     || masters[thief].queued_len() > 0
@@ -449,19 +391,19 @@ pub fn run_federated(
                         continue;
                     }
                     let q = m.queued_len();
-                    if q >= fed.stealing.min_victim.max(1) && victim.is_none_or(|(_, bq)| q > bq) {
+                    if q >= STEAL_MIN_VICTIM && victim.is_none_or(|(_, bq)| q > bq) {
                         victim = Some((v, q));
                     }
                 }
                 let Some((v, q)) = victim else { continue };
-                let batch = fed.stealing.max_batch.min(q / 2).max(1);
+                let batch = STEAL_MAX_BATCH.min(q / 2).max(1);
                 let moved = masters[v].steal_back(batch);
                 if moved.is_empty() {
                     continue;
                 }
                 steals += 1;
                 stolen_tasks += moved.len() as u64;
-                let arrive = now + fed.handoff.latency_secs;
+                let arrive = now + HANDOFF_LATENCY_SECS;
                 for (task_idx, attempt) in moved {
                     masters[thief].note_inbound();
                     masters[thief].inject_at(arrive, Event::StolenArrive { task_idx, attempt });

@@ -241,8 +241,7 @@ pub struct MasterConfig {
     /// default) runs the classic single master; `> 1` makes
     /// [`run_workload`] route through
     /// [`run_federated`](crate::federation::run_federated) with this many
-    /// sub-masters. Initialized from the process-global default installed
-    /// by [`set_default_shards`](crate::federation::set_default_shards).
+    /// sub-masters.
     pub shards: u32,
     pub seed: u64,
     /// Tracing/metrics sink. Defaults to the process-wide recorder (the
@@ -267,7 +266,7 @@ impl MasterConfig {
             provisioning: Provisioning::Static,
             policy: SchedulePolicy::Fifo,
             sched: SchedImpl::Indexed,
-            shards: crate::federation::default_shards(),
+            shards: 1,
             seed: 0x1f2e3d4c,
             telemetry: lfm_telemetry::global(),
         }
@@ -2052,8 +2051,8 @@ impl Master {
     }
 
     /// A pilot was evicted: requeue its in-flight tasks (not counted as
-    /// resource retries — the task did nothing wrong) and optionally submit
-    /// a replacement.
+    /// resource retries — the task did nothing wrong) and submit a
+    /// replacement.
     fn evict_worker(&mut self, now: SimTime, id: u32) {
         let Some(worker) = self.workers.remove(&id) else {
             return;
@@ -2108,9 +2107,7 @@ impl Master {
             });
         }
         drop(worker);
-        if self.faults.replace_evicted() {
-            self.submit_pilots(now, 1);
-        }
+        self.submit_pilots(now, 1);
     }
 
     // ---- queue plumbing shared by both dispatch implementations ----
@@ -3377,11 +3374,6 @@ impl Master {
     }
 }
 
-/// Convenience: task ids for a generated batch.
-pub fn task_ids(n: u64) -> Vec<TaskId> {
-    (0..n).map(TaskId).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -3701,6 +3693,9 @@ mod tests {
         let report = run_workload(&cfg, hep_tasks(48), 4, node());
         assert!(report.workers_lost > 0, "expected evictions");
         assert!(report.tasks_lost > 0, "expected in-flight losses");
+        // Static provisioning plus exactly one replacement pilot per
+        // eviction.
+        assert_eq!(report.workers_provisioned, 4 + report.workers_lost);
         assert_eq!(report.abandoned_tasks, 0);
         let ok: Vec<_> = report
             .results

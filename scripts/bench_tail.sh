@@ -2,7 +2,9 @@
 # Live-tailing acceptance bench: a fig7-scale run with a live tailer
 # draining the ring buffers concurrently, vs an identical run decoded
 # post-hoc (<2% overhead bar at ~1M events), plus stream identity,
-# bounded tailer memory, and SLO alert latency on a seeded overload.
+# bounded tailer memory (largest single drain in records and bytes,
+# against constant bounds that an end-only control drain must exceed),
+# and SLO alert latency on a seeded overload.
 # Writes BENCH_tail.json at the repo root and exits nonzero if any bar
 # is missed. Pass --quick for a smaller workload (CI smoke mode; the
 # overhead bar relaxes to 5% because fixed per-poll costs do not

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Telemetry protocol acceptance bench: binary wire-path encode throughput
-# vs the heap reference recorder (≥5x bar) and end-to-end fig7-scale
-# overhead with ≥1M events per run (<5% bar). Writes BENCH_telemetry.json
-# at the repo root and exits nonzero if either bar is missed. Pass
-# --quick for fewer repetitions (CI smoke mode).
+# (events/s, reported) and end-to-end fig7-scale overhead with ≥1M events
+# per run (<5% bar). Writes BENCH_telemetry.json at the repo root and
+# exits nonzero if the overhead bar is missed. Pass --quick for fewer
+# repetitions (CI smoke mode).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

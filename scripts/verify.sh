@@ -73,8 +73,8 @@ cargo test -q --offline -p lfm-integration-tests --test monitor_threads
 echo "==> benchmark crate (outside the workspace: API drift, unchanged lockfile)"
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run --offline
+echo "==> cargo bench -- --test (each bench body runs once)"
+cargo bench --offline -- --test
 
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace --quiet
